@@ -89,7 +89,7 @@ fn bench_device(name: &'static str, n: usize, edges: Vec<(usize, usize)>) -> Cel
     let (induced, footprint) = {
         let g = CouplingGraph::from_edges(n, edges.iter().copied(), name);
         let footprint = g.memory_footprint();
-        // A region of ~n/8 contiguous qubits, the shard planner's shape.
+        // A region of ~n/8 contiguous qubits, the region scheduler's shape.
         let region = Region::new(n, 0..n / 8);
         let induced = best_of_secs(SAMPLES, || g.induced(&region).n_qubits());
         (induced, footprint)

@@ -1,12 +1,12 @@
 //! Swaps-vs-slack on carved heavy-hex regions: the measurement behind
-//! `SlackPolicy::PerWidth`.
+//! `tetris_engine::slack_for_width`.
 //!
 //! For each job width, the 130-node service device (`heavy_hex(7, 16)`) is
 //! carved into one region of `width + slack` qubits per slack level, a
 //! deterministic UCC workload of that width compiles against the induced
 //! subgraph, and the SWAP count (plus CNOTs, the tiebreaker) is recorded.
 //! The "pick" column is the smallest slack whose SWAP count is within 2%
-//! of the width's best — the shape `tetris_engine::shard::slack_for_width`
+//! of the width's best — the shape `tetris_engine::slack_for_width`
 //! hard-codes (re-run this bench and update the table there if the
 //! compiler's routing behavior shifts).
 //!

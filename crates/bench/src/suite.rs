@@ -8,7 +8,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use tetris_core::TetrisConfig;
 use tetris_engine::{
-    Backend, CacheStats, CompileJob, Engine, EngineConfig, JobResult, RegionScheduler, ShardConfig,
+    slack_for_width, Backend, CacheStats, CompileJob, Engine, EngineConfig, JobResult,
+    RegionScheduler,
 };
 use tetris_obs::StageTimings;
 use tetris_pauli::encoder::Encoding;
@@ -136,12 +137,12 @@ pub struct ShardComparison {
     /// Wall-clock of the sequential whole-chip baseline (one worker, each
     /// job compiled against the full device).
     pub sequential_wall: f64,
-    /// Wall-clock of the sharded batch (region compiles on the pool plus
-    /// relabel + merge).
+    /// Wall-clock of the region batch (carve, region compiles on the pool,
+    /// relabel).
     pub sharded_wall: f64,
     /// Per-region placements of the sharded run.
     pub regions: Vec<ShardRegionReport>,
-    /// Batch jobs the planner could not place (compiled whole-chip).
+    /// Batch jobs the scheduler could not place (compiled whole-chip).
     pub leftover: usize,
     /// Physical qubits the regions occupy.
     pub qubits_used: usize,
@@ -166,14 +167,14 @@ impl ShardComparison {
 }
 
 /// Runs the shard comparison: the same batch compiled (a) sequentially
-/// against the whole chip on a one-worker engine and (b) through the
-/// region-carved shard path on a `threads`-worker engine. Both engines
-/// start cold, so neither side is served from the other's cache — and the
-/// two paths key their entries apart regardless.
+/// against the whole chip on a one-worker engine and (b) through a fresh
+/// region scheduler on a `threads`-worker engine. Both engines start
+/// cold, so neither side is served from the other's cache — and the two
+/// paths key their entries apart regardless.
 ///
 /// # Panics
-/// Panics if any job fails or the planner sheds a job — the comparison
-/// batch is sized to always fit.
+/// Panics if any job fails — the comparison batch is sized to always
+/// fit.
 pub fn run_shard_comparison(quick: bool, threads: usize) -> ShardComparison {
     let graph = shard_device();
 
@@ -204,29 +205,27 @@ pub fn run_shard_comparison(quick: bool, threads: usize) -> ShardComparison {
         cache_max_bytes: None,
     });
     let jobs = shard_jobs(quick, &graph);
-    eprintln!("[bench-suite] shard comparison: sharded batch on {threads} workers…");
+    eprintln!("[bench-suite] shard comparison: region batch on {threads} workers…");
     let t0 = Instant::now();
-    let sharded = sharded_engine.compile_batch_sharded(jobs, &ShardConfig::default());
+    let sharded = RegionScheduler::with_default_config().schedule_batch(&sharded_engine, jobs);
     let sharded_wall = t0.elapsed().as_secs_f64();
     assert!(
         sharded.results.iter().all(|r| r.error.is_none()),
-        "sharded batch failed"
+        "region batch failed"
     );
 
-    let mut regions = Vec::new();
-    let mut leftover = 0usize;
-    for shard in &sharded.shards {
-        leftover += shard.plan.leftover.len();
-        for (i, region) in &shard.plan.members {
-            let r = &sharded.results[*i];
-            regions.push(ShardRegionReport {
+    let regions: Vec<ShardRegionReport> = sharded
+        .results
+        .iter()
+        .filter_map(|r| {
+            r.region.as_ref().map(|region| ShardRegionReport {
                 job: r.name.clone(),
                 width: r.output.final_layout.as_ref().map_or(0, |l| l.n_logical()),
                 region_qubits: region.len(),
-            });
-        }
-    }
-    let qubits_used = sharded.shards.iter().map(|s| s.plan.qubits_used()).sum();
+            })
+        })
+        .collect();
+    let qubits_used = regions.iter().map(|r| r.region_qubits).sum();
     eprintln!(
         "[bench-suite] shard comparison: sequential {sequential_wall:.2}s vs sharded {sharded_wall:.2}s ({:.1}x)",
         sequential_wall / sharded_wall.max(1e-9)
@@ -238,19 +237,20 @@ pub fn run_shard_comparison(quick: bool, threads: usize) -> ShardComparison {
         sequential_wall,
         sharded_wall,
         regions,
-        leftover,
+        leftover: sharded.report.leftover,
         qubits_used,
     }
 }
 
 // ------------------------------------------------------ resident scheduling
 
-/// Resident-scheduler vs per-batch sharding over steady-state repeat
-/// traffic: the same batch submitted `batches` times to each path, both
-/// sides warmed once first. The per-batch side re-plans, re-carves and
-/// re-relabels on every submission (its compiles are cache hits); the
-/// resident side serves every placement from the free-list and every
-/// artifact from the resident cache.
+/// Resident regions vs residency off over steady-state repeat traffic:
+/// the same batch submitted `batches` times to each side, both warmed
+/// once first. The per-batch side schedules every submission on a fresh
+/// [`RegionScheduler`], so it re-carves every time (its artifacts are
+/// cache hits); the resident side keeps one scheduler and serves every
+/// placement from the free-list and every artifact from the resident
+/// cache.
 #[derive(Debug, Clone)]
 pub struct ResidentComparison {
     /// The device both sides target.
@@ -259,7 +259,7 @@ pub struct ResidentComparison {
     pub jobs: usize,
     /// Timed repeat batches per side (the warm-up batch is untimed).
     pub batches: usize,
-    /// Wall-clock of `batches` repeats through `compile_batch_sharded`.
+    /// Wall-clock of `batches` repeats, each on a fresh scheduler.
     pub per_batch_wall: f64,
     /// Wall-clock of `batches` repeats through the resident scheduler.
     pub resident_wall: f64,
@@ -267,8 +267,9 @@ pub struct ResidentComparison {
     pub carves_performed: u64,
     /// Placements the scheduler served without carving.
     pub carves_skipped: u64,
-    /// Whether every resident result matched its per-batch twin, digest
-    /// for digest and region for region.
+    /// Whether both sides matched the independent reference (a direct
+    /// carve plus a serial compile on each induced subgraph), digest for
+    /// digest and region for region.
     pub digest_match: bool,
 }
 
@@ -292,7 +293,7 @@ impl ResidentComparison {
 }
 
 /// Runs the resident comparison: one warm-up submission on each side (so
-/// neither path pays cold compiles inside the timed window), then
+/// neither side pays cold compiles inside the timed window), then
 /// `batches` timed repeats. Both engines are separate and equally sized.
 ///
 /// # Panics
@@ -303,7 +304,7 @@ pub fn run_resident_comparison(quick: bool, threads: usize) -> ResidentCompariso
     let batches = if quick { 10 } else { 30 };
     // Build the workloads once and clone per submission (inputs are
     // `Arc`-shared, so a clone is pointer bumps): the timed loops compare
-    // the two scheduling paths, not repeated Hamiltonian construction.
+    // the two sides' scheduling, not repeated Hamiltonian construction.
     let jobs = shard_jobs(quick, &graph);
     let n_jobs = jobs.len();
     let fresh_engine = || {
@@ -315,22 +316,23 @@ pub fn run_resident_comparison(quick: bool, threads: usize) -> ResidentCompariso
         })
     };
 
-    // Per-batch side: warm once, then time the repeats. The compiles are
-    // cache hits, but every submission still pays plan + carve + relabel.
+    // Per-batch side: warm once, then time the repeats. The artifacts are
+    // cache hits, but every submission's fresh scheduler re-carves.
     let per_batch_engine = fresh_engine();
     eprintln!(
-        "[bench-suite] resident comparison: {n_jobs} jobs × {batches} batches on {} — per-batch sharding…",
+        "[bench-suite] resident comparison: {n_jobs} jobs × {batches} batches on {} — fresh scheduler per batch…",
         graph.name()
     );
-    let warm_sharded =
-        per_batch_engine.compile_batch_sharded(jobs.clone(), &ShardConfig::default());
+    let per_batch =
+        || RegionScheduler::with_default_config().schedule_batch(&per_batch_engine, jobs.clone());
+    let warm_per_batch = per_batch();
     assert!(
-        warm_sharded.results.iter().all(|r| r.error.is_none()),
+        warm_per_batch.results.iter().all(|r| r.error.is_none()),
         "per-batch warm-up failed"
     );
     let t0 = Instant::now();
     for _ in 0..batches {
-        let b = per_batch_engine.compile_batch_sharded(jobs.clone(), &ShardConfig::default());
+        let b = per_batch();
         assert!(b.results.iter().all(|r| r.error.is_none()));
     }
     let per_batch_wall = t0.elapsed().as_secs_f64();
@@ -352,13 +354,16 @@ pub fn run_resident_comparison(quick: bool, threads: usize) -> ResidentCompariso
     }
     let resident_wall = t0.elapsed().as_secs_f64();
 
-    // Bit-identicality: the resident artifacts must be the per-batch
-    // planner's artifacts, digest for digest and region for region.
-    let digest_match = warm_resident
-        .results
+    // Bit-identicality: both sides must reproduce the independent
+    // reference, digest for digest and region for region.
+    let reference = region_reference(&graph, &jobs);
+    let digest_match = [&warm_per_batch.results, &warm_resident.results]
         .iter()
-        .zip(&warm_sharded.results)
-        .all(|(a, b)| a.region == b.region && a.output.stats_digest() == b.output.stats_digest());
+        .all(|results| {
+            results.iter().zip(&reference).all(|(r, (region, digest))| {
+                r.region.as_ref() == Some(region) && r.output.stats_digest() == *digest
+            })
+        });
 
     let stats = scheduler.stats();
     eprintln!(
@@ -377,6 +382,37 @@ pub fn run_resident_comparison(quick: bool, threads: usize) -> ResidentCompariso
         carves_skipped: stats.carves_skipped,
         digest_match,
     }
+}
+
+/// The independent reference for a batch placed on an empty chip: a
+/// direct [`CouplingGraph::carve`] of every job's grant size
+/// (`width + slack_for_width(width)`), then a serial compile of each job
+/// against its induced subgraph. Stats digests are relabeling-invariant,
+/// so they compare directly with the scheduler's global artifacts.
+///
+/// # Panics
+/// Panics if the batch does not fit the device.
+fn region_reference(
+    graph: &CouplingGraph,
+    jobs: &[CompileJob],
+) -> Vec<(tetris_topology::Region, u64)> {
+    let sizes: Vec<usize> = jobs
+        .iter()
+        .map(|j| j.hamiltonian.n_qubits + slack_for_width(j.hamiltonian.n_qubits))
+        .collect();
+    let regions = graph.carve(&sizes).expect("the batch fits the device");
+    jobs.iter()
+        .zip(regions)
+        .map(|(j, region)| {
+            let local = CompileJob::new(
+                j.name.clone(),
+                j.backend,
+                j.hamiltonian.clone(),
+                Arc::new(graph.induced(&region)),
+            );
+            (region, local.run().stats_digest())
+        })
+        .collect()
 }
 
 // --------------------------------------------------------------- profiling
@@ -494,9 +530,9 @@ impl SuitePass {
 /// Renders the full bench-suite report as pretty-printed JSON: engine
 /// sizing, then per pass the batch wall-clock, the cumulative cache
 /// counters and per-job timings and stats; with `shard` set, a trailing
-/// `"shard"` section comparing sharded vs sequential whole-chip walls;
-/// with `resident` set, a `"resident"` section comparing the resident
-/// scheduler against per-batch sharding on repeat traffic; with `profile`
+/// `"shard"` section comparing region vs sequential whole-chip walls;
+/// with `resident` set, a `"resident"` section comparing one long-lived
+/// scheduler against a fresh scheduler per batch on repeat traffic; with `profile`
 /// set, a `"profile"` section with the observability overhead and
 /// per-stage wall-time aggregates; with `connections` set, a
 /// `"connections"` section comparing the reactor front-end against the

@@ -60,15 +60,6 @@ impl Circuit {
         self.gates.push(gate);
     }
 
-    /// Appends all gates of `other` (register widths must match).
-    ///
-    /// # Panics
-    /// Panics if widths differ.
-    pub fn extend_from(&mut self, other: &Circuit) {
-        assert_eq!(self.n_qubits, other.n_qubits, "register width mismatch");
-        self.gates.extend_from_slice(&other.gates);
-    }
-
     /// CNOT-equivalent two-qubit gate count: CNOTs + 3·SWAPs (paper metric).
     pub fn cnot_count(&self) -> usize {
         self.gates.iter().map(|g| g.cnot_cost()).sum()

@@ -81,13 +81,12 @@ pub struct JobResult {
     /// [`output`](JobResult::output) holds an empty placeholder, and
     /// nothing is cached.
     pub error: Option<String>,
-    /// The device region this job was sharded onto, when the batch went
-    /// through [`Engine::compile_batch_sharded`](crate::Engine::compile_batch_sharded)
-    /// and the shard planner assigned one: the
-    /// [`output`](JobResult::output) circuit and layout are then already
-    /// relabeled into global device coordinates restricted to this
-    /// region's qubits. `None` for whole-chip compiles (including sharded
-    /// batches' leftover jobs).
+    /// The device region this job ran on, when the batch went through
+    /// [`RegionScheduler::schedule_batch`](crate::RegionScheduler::schedule_batch)
+    /// and the scheduler placed it: the [`output`](JobResult::output)
+    /// circuit and layout are then already relabeled into global device
+    /// coordinates restricted to this region's qubits. `None` for
+    /// whole-chip compiles (including region batches' leftover jobs).
     pub region: Option<Region>,
     /// Per-stage timeline of this job's trip through the engine: queue
     /// wait, cache lookup (including any disk IO it triggered), then — on

@@ -27,25 +27,22 @@
 //!   every baseline (`paulihedral`, `max_cancel`, `pcoast_like`, `generic`,
 //!   `qaoa_2qan`) behind one [`CompileBackend`] trait, so a single batch
 //!   can sweep compilers like-for-like.
-//! * **Region-carved device sharding** ([`shard`],
-//!   [`Engine::compile_batch_sharded`]): a batch of small workloads is
+//! * **Region scheduling** ([`scheduler`],
+//!   [`RegionScheduler::schedule_batch`]): a batch of small workloads is
 //!   packed onto disjoint connected regions of one large chip — each job
-//!   compiles against its induced subgraph on the same pool, comes back
-//!   relabeled into global coordinates, and the group merges into one
-//!   combined circuit cached under a region-fingerprinted key.
-//! * **Resident-region scheduling** ([`scheduler`],
-//!   [`RegionScheduler::schedule_batch`]): carved regions stay alive
+//!   compiles against its induced subgraph on the same pool and comes
+//!   back relabeled into global coordinates. Carved regions stay alive
 //!   across batches on a per-device free-list with per-region FIFO queues
-//!   and a defragmenter — steady-state repeat-shape traffic skips carving
-//!   and compilation entirely (the relabeled artifacts are themselves
-//!   content-addressed).
+//!   and a defragmenter, so steady-state repeat-shape traffic skips
+//!   carving and compilation entirely (the relabeled artifacts are
+//!   themselves content-addressed).
 //! * **Observability** (via [`tetris_obs`]): every job records a per-stage
 //!   wall-time timeline ([`JobResult::stages`] for the request,
 //!   [`EngineOutput::stages`] for the original compile — the latter
-//!   persisted by the disk codec), workers feed the process-wide metrics
-//!   registry (`tetris_jobs_completed_total`, `tetris_engine_seconds`,
-//!   `tetris_stage_seconds{stage=…}`, shard counters) and a bounded ring
-//!   of recent trace events. Disabled wholesale with
+//!   persisted by the disk codec), workers and resident cache hits feed
+//!   the process-wide metrics registry (`tetris_jobs_completed_total`,
+//!   `tetris_engine_seconds`, `tetris_stage_seconds{stage=…}`) and a
+//!   bounded ring of recent trace events. Disabled wholesale with
 //!   [`tetris_obs::set_enabled`]`(false)`, which reduces the hot path to
 //!   a few branches.
 //!
@@ -83,7 +80,6 @@ pub mod disk;
 pub mod job;
 pub mod pool;
 pub mod scheduler;
-pub mod shard;
 
 pub use backend::{Backend, CompileBackend, EngineOutput};
 pub use cache::{CacheStats, ResultCache};
@@ -92,9 +88,6 @@ pub use disk::{DiskCache, DiskStats};
 pub use job::{CompileJob, JobResult};
 pub use pool::{Engine, EngineConfig};
 pub use scheduler::{
-    DeviceSnapshot, RegionScheduler, RegionSnapshot, ResidentBatch, ResidentReport,
-    SchedulerConfig, SchedulerStats,
-};
-pub use shard::{
-    plan_shards, slack_for_width, ShardConfig, ShardPlan, ShardReport, ShardedBatch, SlackPolicy,
+    slack_for_width, DeviceSnapshot, RegionScheduler, RegionSnapshot, ResidentBatch,
+    ResidentReport, SchedulerStats,
 };

@@ -279,18 +279,17 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// The shared result cache (the shard path stores merged outputs under
-    /// region-fingerprinted keys alongside the per-job entries).
+    /// The shared result cache (the region scheduler stores relabeled
+    /// artifacts under `tetris-resident/v1` keys alongside the per-job
+    /// entries).
     pub(crate) fn cache(&self) -> &ResultCache {
         &self.cache
     }
 
-    /// Looks up a cached artifact by raw cache key — the read path behind
-    /// the server's `GET /shard/<key>` route. Whole-chip job results and
-    /// sharded merged artifacts share one namespace; the lookup counts in
-    /// the cache statistics like any other.
-    pub fn cached_output(&self, key: u64) -> Option<Arc<EngineOutput>> {
-        self.cache.get(key)
+    /// Records a job answered outside the pool (a resident cache hit) into
+    /// the same counters, histograms and trace ring the workers feed.
+    pub(crate) fn observe(&self, r: &JobResult) {
+        self.metrics.observe(r);
     }
 
     /// Submits a batch and invokes `on_result` once per job *as each

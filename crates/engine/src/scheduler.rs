@@ -1,36 +1,45 @@
-//! Resident-region multi-tenant scheduling: carved regions stay alive
-//! across batches.
+//! Region-carved multi-tenant scheduling: one large chip, many small
+//! workloads, with carved regions kept alive across batches.
 //!
-//! The shard planner ([`crate::shard`]) proved the paper's bet per batch —
-//! one large chip serves many small workloads at once — but it re-carves
-//! from scratch and discards the regions on every call, so steady-state
-//! service traffic pays carve + plan cost on every request. The
-//! [`RegionScheduler`] closes that gap: each device keeps a **free-list of
-//! resident regions**, and the region lifecycle becomes
+//! A service batch is dominated by jobs far narrower than the device they
+//! target — every 6-qubit UCCSD job would otherwise monopolize a 130-node
+//! heavy-hex chip. The [`RegionScheduler`] packs compatible jobs (same
+//! device, width within the region budget) onto disjoint connected
+//! [`Region`]s ([`CouplingGraph::carve`]), compiles each job against its
+//! *induced subgraph* through the ordinary worker pool — so per-job
+//! results are content-addressed exactly like whole-chip compiles, keyed
+//! by the induced graph — and relabels every circuit and layout back into
+//! global device coordinates. Each device keeps a **free-list of resident
+//! regions**, and the region lifecycle is
 //!
 //! > carve → resident → (busy ⇄ free, per-region FIFO queue) → defrag →
 //! > release
 //!
+//! * **Carve.** Jobs the free-list cannot host are carved for in one
+//!   whole-group carve of `width + slack_for_width(width)` qubits each,
+//!   walking the slack ladder down before deferring the widest job. A
+//!   fresh scheduler's first round is therefore exactly a direct
+//!   [`CouplingGraph::carve`] of those sizes.
 //! * **Bin-packing reuse.** An incoming job lands on a free resident
 //!   region whose size sits inside the job's grant window
-//!   (`width ..= width + slack` via the configured [`SlackPolicy`]) — no
-//!   carve at all. The largest compatible size wins, then creation order,
-//!   which reproduces the positional job→region mapping of the per-batch
-//!   planner for repeat-shape traffic: resident results stay bit-identical
-//!   to [`Engine::compile_batch_sharded`] artifacts.
+//!   (`width ..= width + slack_for_width(width)`) — no carve at all. The
+//!   largest compatible size wins, then creation order, which reproduces
+//!   the positional job→region mapping of the cold carve for repeat-shape
+//!   traffic: warm results stay bit-identical to the cold ones.
 //! * **Per-region FIFO queues.** When the chip is full and a
 //!   size-compatible region exists, the job takes a ticket on the shortest
 //!   queue and runs when the region frees, instead of failing over to a
 //!   whole-chip compile.
 //! * **Defragmentation.** A job whose size no resident region matches and
-//!   whose carve fails is *starved by fragmentation*. Past
-//!   [`SchedulerConfig::starve_rounds`] (or immediately once nothing is in
-//!   flight, since waiting can never un-fragment an idle chip) the
-//!   defragmenter releases every idle region — displacing their queued
-//!   tickets back to ordinary placement — and re-carves for the starving
-//!   width on the compacted chip. Only when even the re-carve on an
-//!   otherwise empty chip fails does the job fall back whole-chip, exactly
-//!   like the shard planner's leftover path.
+//!   whose carve fails is *starved by fragmentation*. After two rounds
+//!   (`STARVE_ROUNDS`), or immediately once nothing is in flight since
+//!   waiting can never un-fragment an idle chip, the defragmenter
+//!   releases every idle region — displacing their queued tickets back to
+//!   ordinary placement — and re-carves for the starving width on the
+//!   compacted chip. Only when even the re-carve on an otherwise empty
+//!   chip fails (or the job is wider than the device) does the job fall
+//!   back to whole-chip compilation — regions are an optimization, never
+//!   a correctness gate.
 //! * **Resident artifact cache.** The relabeled output of (job, region) is
 //!   itself content-addressed (domain `tetris-resident/v1`, folding the
 //!   workload, backend, device and region fingerprints — which together
@@ -45,10 +54,9 @@
 //! worker pool with the lock released, and waiters park on a condvar that
 //! region releases notify.
 
-use crate::backend::CompileBackend;
+use crate::backend::{CompileBackend, EngineOutput};
 use crate::job::{CompileJob, JobResult};
 use crate::pool::Engine;
-use crate::shard::{carve_with_slack_ladder, relabel_output, SlackPolicy};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -59,25 +67,82 @@ use tetris_pauli::fingerprint::Fingerprint64;
 use tetris_pauli::QubitMask;
 use tetris_topology::{CouplingGraph, Region};
 
-/// Resident-scheduling knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedulerConfig {
-    /// Slack granted to carved regions beyond the job width, and the upper
-    /// edge of the reuse window: a free region serves a job when its size
-    /// lies in `width ..= width + slack`.
-    pub slack: SlackPolicy,
-    /// Rounds a fragmentation-starved job waits before the defragmenter
-    /// runs. On an idle chip the defragmenter runs immediately regardless
-    /// — waiting cannot free anything when nothing is in flight.
-    pub starve_rounds: usize,
+/// Rounds a fragmentation-starved job waits before the defragmenter runs.
+/// On an idle chip the defragmenter runs immediately regardless — waiting
+/// cannot free anything when nothing is in flight.
+const STARVE_ROUNDS: usize = 2;
+
+/// The measured swaps-vs-slack heuristic (`region_slack` bench, heavy-hex
+/// service device, UCC workloads): the routing slack (extra physical
+/// qubits beyond the job width) a carved region gets, and the upper edge
+/// of the reuse window. Below ~18 qubits extra region qubits never reduced
+/// SWAPs — frontier growth parks them on row ends the router never
+/// crosses — so narrow jobs get zero slack and leave the capacity to
+/// batch-mates. From ~20 qubits up, slack 4 reliably bought 4–7% fewer
+/// SWAPs (the wider region spans an extra heavy-hex bridge, opening a
+/// routing shortcut). Re-run the bench and update this table if routing
+/// behavior shifts.
+pub fn slack_for_width(width: usize) -> usize {
+    if width >= 18 {
+        4
+    } else {
+        0
+    }
 }
 
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            slack: SlackPolicy::PerWidth,
-            starve_rounds: 2,
+/// Carves one region per width, walking a slack ladder: every job's full
+/// [`slack_for_width`] first, then every job's slack capped at one less,
+/// and so on down to zero. A batch that misses by a couple of qubits at
+/// full slack lands at the tightest cap that still fits instead of
+/// collapsing straight to zero slack. Deterministic: the ladder is a fixed
+/// descent and [`CouplingGraph::carve_avoiding`] is deterministic.
+fn carve_with_slack_ladder(
+    graph: &CouplingGraph,
+    widths: &[usize],
+    avoid: &QubitMask,
+) -> Option<Vec<Region>> {
+    let max_slack = widths
+        .iter()
+        .map(|&w| slack_for_width(w))
+        .max()
+        .unwrap_or(0);
+    let mut tried: Option<Vec<usize>> = None;
+    for cap in (0..=max_slack).rev() {
+        let sizes: Vec<usize> = widths
+            .iter()
+            .map(|&w| (w + slack_for_width(w).min(cap)).min(graph.n_qubits()))
+            .collect();
+        // Lowering the cap below every job's slack leaves the sizes
+        // unchanged — skip the redundant carve attempt.
+        if tried.as_ref() == Some(&sizes) {
+            continue;
         }
+        if let Some(regions) = graph.carve_avoiding(&sizes, avoid) {
+            return Some(regions);
+        }
+        tried = Some(sizes);
+    }
+    None
+}
+
+/// Relabels an induced-subgraph compile back into global device
+/// coordinates: every gate operand maps through [`Region::to_global`] and
+/// the final layout is lifted with [`tetris_topology::Layout::offset_into`].
+/// Stats are untouched — depth, durations and gate counts are
+/// relabeling-invariant.
+fn relabel_output(local: &EngineOutput, region: &Region) -> EngineOutput {
+    let mut circuit = tetris_circuit::Circuit::new(region.device_qubits());
+    for gate in local.circuit.gates() {
+        circuit.push(gate.map_qubits(|q| region.to_global(q)));
+    }
+    EngineOutput {
+        compiler: local.compiler.clone(),
+        circuit,
+        stats: local.stats,
+        final_layout: local.final_layout.as_ref().map(|l| l.offset_into(region)),
+        // Relabeling is presentation, not compilation: the original
+        // compile's breakdown travels with the artifact unchanged.
+        stages: local.stages,
     }
 }
 
@@ -242,7 +307,7 @@ struct PendingJob {
 }
 
 /// The content address of a relabeled resident artifact, domain-separated
-/// from per-job and shard keys. Folds the workload, backend, *device*
+/// from per-job keys. Folds the workload, backend, *device*
 /// graph and region fingerprints — the latter two fully determine the
 /// induced subgraph, so the warm path derives the key without ever
 /// materializing the induced graph (that construction is deferred to the
@@ -259,14 +324,9 @@ fn resident_key(job: &CompileJob, region: &Region) -> u64 {
 
 /// [`carve_with_slack_ladder`] with the carve wall recorded into the
 /// `tetris_stage_seconds{stage="carve"}` histogram.
-fn timed_carve(
-    graph: &CouplingGraph,
-    widths: &[usize],
-    policy: SlackPolicy,
-    avoid: &QubitMask,
-) -> Option<Vec<Region>> {
+fn timed_carve(graph: &CouplingGraph, widths: &[usize], avoid: &QubitMask) -> Option<Vec<Region>> {
     let t0 = Instant::now();
-    let carved = carve_with_slack_ladder(graph, widths, policy, avoid);
+    let carved = carve_with_slack_ladder(graph, widths, avoid);
     if tetris_obs::enabled() {
         tetris_obs::global()
             .histogram("tetris_stage_seconds", &[("stage", Stage::Carve.name())])
@@ -292,7 +352,6 @@ fn push_gauges(st: &DeviceState) {
 /// batches of a process; see the module docs for the lifecycle.
 #[derive(Debug)]
 pub struct RegionScheduler {
-    config: SchedulerConfig,
     /// Per-device shared state, keyed by graph fingerprint in first-seen
     /// order.
     devices: Mutex<Vec<(u64, Arc<DeviceShared>)>>,
@@ -300,24 +359,14 @@ pub struct RegionScheduler {
 }
 
 impl RegionScheduler {
-    /// A scheduler with the given knobs.
-    pub fn new(config: SchedulerConfig) -> Self {
+    /// An empty scheduler: no devices seen, no regions carved. Slack
+    /// follows [`slack_for_width`]; a fragmentation-starved job waits two
+    /// rounds before the defragmenter runs.
+    pub fn with_default_config() -> Self {
         RegionScheduler {
-            config,
             devices: Mutex::new(Vec::new()),
             totals: Totals::default(),
         }
-    }
-
-    /// A scheduler with default knobs ([`SlackPolicy::PerWidth`], starve
-    /// threshold 2).
-    pub fn with_default_config() -> Self {
-        RegionScheduler::new(SchedulerConfig::default())
-    }
-
-    /// The configured knobs.
-    pub fn config(&self) -> SchedulerConfig {
-        self.config
     }
 
     /// Cumulative counters plus the current residency summary.
@@ -394,8 +443,7 @@ impl RegionScheduler {
     /// order. Regions carved for this batch stay resident for the next
     /// one; see the module docs for the placement rules.
     pub fn schedule_batch(&self, engine: &Engine, jobs: Vec<CompileJob>) -> ResidentBatch {
-        // Group by device identity, first-seen order — same as the shard
-        // planner.
+        // Group by device identity, first-seen order.
         let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
         for (i, job) in jobs.iter().enumerate() {
             let fp = job.graph.fingerprint();
@@ -437,7 +485,7 @@ impl RegionScheduler {
             let width = jobs[i].hamiltonian.n_qubits;
             if width > n {
                 // Wider than the device: the whole-chip fallback reports
-                // the compiler's own error — same as the shard planner.
+                // the compiler's own error.
                 leftover.push(i);
                 report.leftover += 1;
             } else {
@@ -489,7 +537,6 @@ impl RegionScheduler {
     ) {
         let graph = Arc::clone(&st.graph);
         let n = graph.n_qubits();
-        let policy = self.config.slack;
 
         // (a) Ticket holders claim their region once it is free and their
         // ticket reached the head of the FIFO.
@@ -525,9 +572,9 @@ impl RegionScheduler {
         // (b) Free-list reuse: an idle, unqueued region whose size sits in
         // the grant window serves the job with no carve. Largest size
         // first (what a fresh full-slack carve would produce), then
-        // creation order — reproducing the per-batch planner's positional
-        // mapping on repeat-shape traffic, which keeps resident artifacts
-        // digest-identical to `compile_batch_sharded`.
+        // creation order — reproducing the cold carve's positional
+        // mapping on repeat-shape traffic, which keeps warm artifacts
+        // digest-identical to cold ones.
         let mut k = 0;
         while k < pending.len() {
             if pending[k].ticket.is_some() {
@@ -535,7 +582,7 @@ impl RegionScheduler {
                 continue;
             }
             let width = pending[k].width;
-            let grant_hi = (width + policy.for_width(width)).min(n);
+            let grant_hi = (width + slack_for_width(width)).min(n);
             let pick = st
                 .regions
                 .iter_mut()
@@ -554,19 +601,18 @@ impl RegionScheduler {
             }
         }
 
-        // (c) One whole-group carve for everything still unplaced — the
-        // same single carve the per-batch planner performs, so a fresh
-        // device yields identical regions (and artifacts) to
-        // `compile_batch_sharded`. On failure the widest candidate is
-        // deferred to queueing/defrag instead of shed whole-chip, and the
-        // rest retry.
+        // (c) One whole-group carve for everything still unplaced, so a
+        // fresh device yields exactly the regions of a direct carve of the
+        // batch's grant sizes. On failure the widest candidate is deferred
+        // to queueing/defrag instead of shed whole-chip, and the rest
+        // retry.
         let drained: Vec<PendingJob> = std::mem::take(pending);
         let (mut group, rest): (Vec<_>, Vec<_>) =
             drained.into_iter().partition(|j| j.ticket.is_none());
         let mut deferred: Vec<PendingJob> = Vec::new();
         while !group.is_empty() {
             let widths: Vec<usize> = group.iter().map(|j| j.width).collect();
-            match timed_carve(&graph, &widths, policy, &st.carved) {
+            match timed_carve(&graph, &widths, &st.carved) {
                 Some(regions) => {
                     for (job, region) in group.drain(..).zip(regions) {
                         st.carved.union_with(region.mask());
@@ -607,7 +653,7 @@ impl RegionScheduler {
                 continue;
             }
             let width = job.width;
-            let grant_hi = (width + policy.for_width(width)).min(n);
+            let grant_hi = (width + slack_for_width(width)).min(n);
             let target = st
                 .regions
                 .iter_mut()
@@ -625,14 +671,14 @@ impl RegionScheduler {
             // On an idle chip waiting never helps: the free set cannot
             // grow without a release, and nothing is in flight.
             let idle = !st.any_busy();
-            if job.starved >= self.config.starve_rounds.max(1) || idle {
+            if job.starved >= STARVE_ROUNDS || idle {
                 if let Some((id, region)) = self.defrag_for(st, width, report) {
                     wave.push((job.index, id, region));
                     continue;
                 }
                 if !st.any_busy() {
                     // Even an empty chip cannot host the grant: compile
-                    // whole-chip like the shard planner's leftover path.
+                    // whole-chip.
                     leftover.push(job.index);
                     report.leftover += 1;
                     continue;
@@ -676,7 +722,7 @@ impl RegionScheduler {
             .regions_released
             .fetch_add(released, Ordering::Relaxed);
 
-        let regions = timed_carve(&st.graph, &[width], self.config.slack, &st.carved)?;
+        let regions = timed_carve(&st.graph, &[width], &st.carved)?;
         let region = regions.into_iter().next().expect("one size, one region");
         st.carved.union_with(region.mask());
         let id = st.next_region_id;
@@ -717,13 +763,13 @@ impl RegionScheduler {
             // repeat traffic skips induction, compile AND relabel.
             let t0 = Instant::now();
             let rkey = resident_key(job, region);
-            match engine.cached_output(rkey) {
+            match engine.cache().get(rkey) {
                 Some(hit) => {
                     let mut stages = StageTimings::default();
                     if on {
                         stages.add(Stage::CacheLookup, t0.elapsed().as_secs_f64());
                     }
-                    slots[*index] = Some(JobResult {
+                    let result = JobResult {
                         index: *index,
                         name: job.name.clone(),
                         compiler: hit.compiler.clone(),
@@ -734,7 +780,11 @@ impl RegionScheduler {
                         region: Some(region.clone()),
                         stages,
                         output: hit,
-                    });
+                    };
+                    // A hit never reaches a pool worker, so it is recorded
+                    // here exactly as a worker records its jobs.
+                    engine.observe(&result);
+                    slots[*index] = Some(result);
                 }
                 None => {
                     let induced = Arc::new(graph.induced(region));
@@ -778,5 +828,38 @@ impl RegionScheduler {
         }
         push_gauges(&st);
         shared.released.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slack_follows_measured_heuristic() {
+        // The region_slack bench: no slack pays off below ~18 qubits,
+        // slack 4 wins from ~20 up.
+        assert_eq!(slack_for_width(3), 0);
+        assert_eq!(slack_for_width(16), 0);
+        assert_eq!(slack_for_width(18), 4);
+        assert_eq!(slack_for_width(20), 4);
+        assert_eq!(slack_for_width(24), 4);
+    }
+
+    #[test]
+    fn slack_ladder_tries_intermediate_slacks_at_the_perwidth_boundary() {
+        // Two 18-qubit jobs on a 40-qubit line. Full slack wants
+        // 22 + 22 = 44 > 40 and fails; dropping straight to zero slack
+        // (18 + 18 = 36) would waste 4 qubits of routing freedom. The
+        // ladder lands at cap 2: 20 + 20 = 40 exactly.
+        let graph = CouplingGraph::line(40);
+        let regions = carve_with_slack_ladder(&graph, &[18, 18], &QubitMask::empty(40))
+            .expect("the ladder finds a fit");
+        assert_eq!(regions.len(), 2);
+        for region in &regions {
+            assert_eq!(region.len(), 20, "intermediate slack 2, not 0 or 4");
+            assert!(graph.is_region_connected(region));
+        }
+        assert!(regions[0].is_disjoint_from(&regions[1]));
     }
 }

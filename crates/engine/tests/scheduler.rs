@@ -1,14 +1,19 @@
-//! Resident-region scheduling, end to end: carved regions survive across
-//! batches, repeat-shape traffic skips carving while staying bit-identical
-//! to per-batch sharded compiles, per-region FIFO queues serialize
-//! contending jobs, the defragmenter un-fragments a starved wide job, and
-//! isomorphic regions share content-addressed cache entries.
+//! Region scheduling, end to end: a batch of small workloads lands on
+//! disjoint connected regions of one large chip, in global coordinates,
+//! hardware-compliant, deterministic and cache-separated from whole-chip
+//! compiles; carved regions survive across batches, repeat-shape traffic
+//! skips carving while staying bit-identical to an independent reference
+//! (a direct carve plus a serial compile on the induced subgraph),
+//! per-region FIFO queues serialize contending jobs, the defragmenter
+//! un-fragments a starved wide job, and isomorphic regions share
+//! content-addressed cache entries.
 
 use std::sync::Arc;
 use tetris_core::TetrisConfig;
 use tetris_engine::{
-    Backend, CompileJob, Engine, EngineConfig, RegionScheduler, ShardConfig, SlackPolicy,
+    slack_for_width, Backend, CompileJob, Engine, EngineConfig, JobResult, RegionScheduler,
 };
+use tetris_pauli::mask::QubitMask;
 use tetris_pauli::{Hamiltonian, PauliBlock, PauliTerm};
 use tetris_topology::{CouplingGraph, Region};
 
@@ -62,8 +67,41 @@ fn service_batch(graph: &Arc<CouplingGraph>) -> Vec<CompileJob> {
         .collect()
 }
 
+/// The independent reference for jobs placed on a fresh chip: a direct
+/// carve of every job's grant size (`width + slack_for_width(width)`),
+/// then a serial compile of each job against its induced subgraph. Stats
+/// digests are relabeling-invariant, so they compare directly with the
+/// scheduler's global-coordinate artifacts.
+fn reference(jobs: &[CompileJob]) -> Vec<(Region, u64)> {
+    let graph = &jobs[0].graph;
+    let sizes: Vec<usize> = jobs
+        .iter()
+        .map(|j| j.hamiltonian.n_qubits + slack_for_width(j.hamiltonian.n_qubits))
+        .collect();
+    let regions = graph.carve(&sizes).expect("the reference batch fits");
+    jobs.iter()
+        .zip(regions)
+        .map(|(j, region)| {
+            let induced = CompileJob::new(
+                j.name.clone(),
+                j.backend,
+                j.hamiltonian.clone(),
+                Arc::new(graph.induced(&region)),
+            );
+            (region, induced.run().stats_digest())
+        })
+        .collect()
+}
+
+fn assert_matches_reference(results: &[JobResult], jobs: &[CompileJob]) {
+    for (r, (region, digest)) in results.iter().zip(reference(jobs)) {
+        assert_eq!(r.region.as_ref(), Some(&region), "{}", r.name);
+        assert_eq!(r.output.stats_digest(), digest, "{}", r.name);
+    }
+}
+
 #[test]
-fn resident_results_match_per_batch_sharding_and_repeats_skip_carving() {
+fn resident_results_match_the_reference_and_repeats_skip_carving() {
     let graph = Arc::new(CouplingGraph::heavy_hex(7, 16));
     let scheduler = RegionScheduler::with_default_config();
     let resident_engine = engine(4);
@@ -77,19 +115,10 @@ fn resident_results_match_per_batch_sharding_and_repeats_skip_carving() {
     assert_eq!(first.report.carves_skipped, 0);
     assert_eq!(first.report.leftover, 0);
 
-    // Bit-identical to the per-batch shard planner on a fresh engine:
-    // the cold whole-group carve is the same carve, so regions — and
+    // Bit-identical to the independent reference: the cold whole-group
+    // carve is a direct carve of the grant sizes, so regions — and
     // therefore relabeled artifacts — agree digest for digest.
-    let sharded = engine(1).compile_batch_sharded(service_batch(&graph), &ShardConfig::default());
-    for (a, b) in first.results.iter().zip(&sharded.results) {
-        assert_eq!(a.region, b.region, "{}", a.name);
-        assert_eq!(
-            a.output.stats_digest(),
-            b.output.stats_digest(),
-            "{}",
-            a.name
-        );
-    }
+    assert_matches_reference(&first.results, &service_batch(&graph));
 
     // Repeat-shape traffic: zero carves, every placement served by the
     // free-list, every artifact straight from the resident cache.
@@ -156,8 +185,8 @@ fn defragmenter_recarves_for_a_starved_wide_job() {
     // Four 3-qubit jobs tile the whole 12-qubit grid; the following
     // 9-qubit job finds no compatible region and no room to carve — the
     // defragmenter must release the idle tiles and re-carve, and the job's
-    // artifact must match a per-batch sharded compile of the same job on
-    // a fresh chip (defrag compacts back to the empty-chip carve).
+    // artifact must match the independent reference for the same job on
+    // an empty chip (defrag compacts back to the empty-chip carve).
     let graph = Arc::new(CouplingGraph::grid(3, 4));
     let scheduler = RegionScheduler::with_default_config();
     let eng = engine(2);
@@ -185,16 +214,9 @@ fn defragmenter_recarves_for_a_starved_wide_job() {
     assert_eq!(stats.regions_released, 4, "all idle tiles released");
     assert_eq!(stats.resident_regions, 1, "only the re-carved region left");
 
-    // Digest-pinned against the per-batch planner on a fresh engine: the
-    // defragmented chip is empty again, so the re-carve is the planner's
-    // carve.
-    let sharded =
-        engine(1).compile_batch_sharded(vec![job("wide", 9, 7, &graph)], &ShardConfig::default());
-    assert_eq!(result.region, sharded.results[0].region);
-    assert_eq!(
-        result.output.stats_digest(),
-        sharded.results[0].output.stats_digest()
-    );
+    // Digest-pinned against the independent reference: the defragmented
+    // chip is empty again, so the re-carve is a direct carve.
+    assert_matches_reference(&wide.results, &[job("wide", 9, 7, &graph)]);
 }
 
 #[test]
@@ -256,10 +278,7 @@ fn impossible_jobs_fall_back_whole_chip_with_a_clean_error() {
     // Wider than the device: never placed, compiled whole-chip, and the
     // compiler's own failure is reported — not a hang, not a panic.
     let graph = Arc::new(CouplingGraph::line(4));
-    let scheduler = RegionScheduler::new(tetris_engine::SchedulerConfig {
-        slack: SlackPolicy::PerWidth,
-        starve_rounds: 1,
-    });
+    let scheduler = RegionScheduler::with_default_config();
     let eng = engine(2);
     let batch = scheduler.schedule_batch(
         &eng,
@@ -270,4 +289,156 @@ fn impossible_jobs_fall_back_whole_chip_with_a_clean_error() {
     assert!(batch.results[1].error.is_some(), "too wide fails cleanly");
     assert!(batch.results[1].region.is_none());
     assert_eq!(batch.report.leftover, 1);
+}
+
+#[test]
+fn region_batch_packs_disjoint_regions_on_130_node_heavy_hex() {
+    let graph = Arc::new(CouplingGraph::heavy_hex(7, 16));
+    assert_eq!(graph.n_qubits(), 130);
+    let batch =
+        RegionScheduler::with_default_config().schedule_batch(&engine(4), service_batch(&graph));
+    assert_eq!(batch.results.len(), 5);
+    assert_eq!(batch.report.leftover, 0, "all five jobs fit");
+
+    // Regions: connected, disjoint, sized to the job width (narrow jobs
+    // get no slack).
+    let mut union = QubitMask::empty(130);
+    for (r, width) in batch.results.iter().zip([4usize, 5, 6, 5, 4]) {
+        assert!(r.error.is_none(), "{}: {:?}", r.name, r.error);
+        let region = r.region.as_ref().expect("placed job carries its region");
+        assert!(graph.is_region_connected(region));
+        assert_eq!(region.len(), width + slack_for_width(width));
+        assert!(
+            union.is_disjoint_from(region.mask()),
+            "regions must not overlap"
+        );
+        union.union_with(region.mask());
+
+        // The relabeled circuit runs on the big device, confined to its
+        // region, and its final layout places every logical qubit inside
+        // the region.
+        assert!(r.output.circuit.is_hardware_compliant(&graph));
+        let mut touched = QubitMask::empty(130);
+        for gate in r.output.circuit.gates() {
+            for q in gate.qubits().iter() {
+                touched.insert(q);
+            }
+        }
+        assert!(
+            touched.is_subset_of(region.mask()),
+            "{}: circuit escapes its region",
+            r.name
+        );
+        let layout = r
+            .output
+            .final_layout
+            .as_ref()
+            .expect("tetris tracks layout");
+        assert_eq!(layout.n_physical(), 130);
+        let mut placed = QubitMask::empty(130);
+        for q in 0..layout.n_logical() {
+            placed.insert(layout.phys_of(q).expect("placed"));
+        }
+        assert!(placed.is_subset_of(region.mask()));
+    }
+    assert_eq!(union.count(), 4 + 5 + 6 + 5 + 4);
+}
+
+#[test]
+fn region_results_are_deterministic_across_thread_counts() {
+    // Fresh schedulers over fresh engines of different widths: same
+    // regions, same digests, whatever the pool size.
+    let graph = Arc::new(CouplingGraph::heavy_hex(7, 16));
+    let wide =
+        RegionScheduler::with_default_config().schedule_batch(&engine(4), service_batch(&graph));
+    let serial =
+        RegionScheduler::with_default_config().schedule_batch(&engine(1), service_batch(&graph));
+    assert!(wide.results.iter().all(|r| !r.cached));
+    for (a, b) in wide.results.iter().zip(&serial.results) {
+        assert_eq!(a.region, b.region, "{}", a.name);
+        assert_eq!(
+            a.output.stats_digest(),
+            b.output.stats_digest(),
+            "{}",
+            a.name
+        );
+    }
+}
+
+#[test]
+fn region_and_whole_chip_results_never_share_cache_entries() {
+    let graph = Arc::new(CouplingGraph::heavy_hex(7, 16));
+    let eng = engine(4);
+    let placed = RegionScheduler::with_default_config().schedule_batch(&eng, service_batch(&graph));
+    assert!(placed.results.iter().all(|r| r.error.is_none()));
+
+    // The same jobs compiled whole-chip afterwards must all MISS: region
+    // entries are keyed by induced subgraphs and the resident
+    // (job, region) key, never by the whole-chip job key.
+    let whole = eng.compile_batch(service_batch(&graph));
+    assert!(
+        whole.iter().all(|r| !r.cached),
+        "whole-chip compiles must not be served from region entries"
+    );
+    for (p, w) in placed.results.iter().zip(&whole) {
+        assert_ne!(p.cache_key, w.cache_key, "{}", p.name);
+    }
+    // A repeat whole-chip batch is then fully cached under its own keys.
+    let repeat = eng.compile_batch(service_batch(&graph));
+    assert!(repeat.iter().all(|r| r.cached));
+}
+
+#[test]
+fn batches_spanning_devices_keep_one_free_list_per_device() {
+    let line = Arc::new(CouplingGraph::line(12));
+    let ring = Arc::new(CouplingGraph::ring(12));
+    let scheduler = RegionScheduler::with_default_config();
+    let batch = scheduler.schedule_batch(
+        &engine(2),
+        vec![
+            job("dev-a", 3, 0, &line),
+            job("dev-b", 3, 1, &ring),
+            job("dev-c", 4, 2, &line),
+        ],
+    );
+    assert!(batch.results.iter().all(|r| r.error.is_none()));
+    assert_eq!(batch.report.carves_performed, 3);
+    let snapshot = scheduler.snapshot();
+    assert_eq!(snapshot.len(), 2, "first-seen device order");
+    assert_eq!(snapshot[0].regions.len(), 2, "line hosts jobs 0 and 2");
+    assert_eq!(snapshot[0].resident_qubits, 3 + 4);
+    assert_eq!(snapshot[1].regions.len(), 1, "ring hosts job 1");
+    assert!(batch.results[0]
+        .region
+        .as_ref()
+        .unwrap()
+        .is_disjoint_from(batch.results[2].region.as_ref().unwrap()));
+}
+
+#[test]
+fn resident_cache_hits_reach_the_trace_ring() {
+    // A repeat batch is served from the resident cache without touching a
+    // pool worker; every hit must still be recorded like a worker's job.
+    let graph = Arc::new(CouplingGraph::grid(3, 4));
+    let batch = || -> Vec<CompileJob> {
+        (0..3)
+            .map(|i| job(&format!("trace-hit{i}"), 3, 20 + i, &graph))
+            .collect()
+    };
+    let scheduler = RegionScheduler::with_default_config();
+    let eng = engine(2);
+    scheduler.schedule_batch(&eng, batch());
+    let hits = tetris_obs::global().counter("tetris_jobs_completed_total", &[("cached", "true")]);
+    let before = hits.value();
+    let again = scheduler.schedule_batch(&eng, batch());
+    assert!(again.results.iter().all(|r| r.cached));
+    assert!(hits.value() >= before + 3, "every hit counted");
+    let events = tetris_obs::trace::recent(tetris_obs::trace::RING_CAPACITY);
+    for r in &again.results {
+        assert!(
+            events.iter().any(|e| e.job == r.name && e.cached),
+            "no cached trace event for {}",
+            r.name
+        );
+    }
 }

@@ -2,7 +2,7 @@
 //!
 //! A compile job flows through well-known stages — queue wait, cache
 //! lookup, the compiler's scheduling/clustering/synthesis/routing phases,
-//! disk IO, shard carve/merge — and this module attributes wall time to
+//! disk IO, region carving — and this module attributes wall time to
 //! them without threading a context object through every signature: the
 //! engine worker opens a thread-local *scope* ([`begin_scope`]), deep
 //! pipeline code records into it ([`record`], [`StageTimer`], [`timed`]),
@@ -48,9 +48,10 @@ pub enum Stage {
     Optimize,
     /// Disk-cache tier IO: encode+write on store, read+decode on load.
     DiskIo,
-    /// Shard planning — carving the device into disjoint regions.
+    /// Region placement — carving the device into disjoint regions.
     Carve,
-    /// Merging relabeled shard outputs into the whole-device artifact.
+    /// Reserved: nothing records it. The slot keeps its index so the
+    /// TEOC v2 stage section (and its golden digest) stays unchanged.
     Merge,
     /// Instrumented-region remainder: wall time inside a measured span not
     /// claimed by any finer stage.

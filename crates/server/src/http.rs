@@ -21,24 +21,19 @@
 //! Routes:
 //!
 //! * `POST /batch` — body `{"jobs": [{"workload": …, "backend": …,
-//!   "device": …}, …], "shard": bool, "resident": bool, "stream": bool}`;
-//!   every spec is validated against the [`crate::registry`] before
-//!   anything is enqueued (one bad spec fails the whole batch with `400`,
-//!   nothing half-submitted). With `"shard": true` the batch compiles
-//!   through the engine's region-carved sharding path
-//!   ([`tetris_engine::Engine::compile_batch_sharded`]): compatible jobs
-//!   are packed onto disjoint regions of their device and each result's
-//!   `region` field lists the physical qubits it occupies. With
-//!   `"resident": true` the batch routes through the process-wide
-//!   [`RegionScheduler`] instead: regions carved for it stay alive for
-//!   the next batch, repeat-shape traffic is served from the free-list
-//!   and the resident artifact cache without carving, and contended
-//!   regions queue jobs FIFO rather than failing over whole-chip
-//!   (`GET /regions` shows the live free-list). With
-//!   [`ServerConfig::resident_by_default`] set (`tetris serve
-//!   --resident-regions`), `"shard": true` batches route resident too.
-//!   Returns `{"job_ids": [...]}` — or, with `"stream": true` on the
-//!   reactor front-end, a chunked transfer-encoding response whose first
+//!   "device": …}, …], "resident": bool, "stream": bool}`; every spec is
+//!   validated against the [`crate::registry`] before anything is
+//!   enqueued (one bad spec fails the whole batch with `400`, nothing
+//!   half-submitted). With `"resident": true` the batch routes through
+//!   the process-wide [`RegionScheduler`]: compatible jobs are packed
+//!   onto disjoint regions of their device and each result's `region`
+//!   field lists the physical qubits it occupies; regions carved for it
+//!   stay alive for the next batch, repeat-shape traffic is served from
+//!   the free-list and the resident artifact cache without carving, and
+//!   contended regions queue jobs FIFO rather than failing over
+//!   whole-chip (`GET /regions` shows the live free-list). Returns
+//!   `{"job_ids": [...]}` — or, with `"stream": true` on the reactor
+//!   front-end, a chunked transfer-encoding response whose first
 //!   frame is the `job_ids` record and whose following frames are the
 //!   full per-job result records, pushed the moment each job finishes
 //!   (bit-identical to what `GET /job/<id>` returns for the same job).
@@ -66,10 +61,6 @@
 //!   timeline to the result record.
 //! * `GET /trace` — the most recent completed jobs from the in-process
 //!   trace ring (`?n=<count>`, default 100).
-//! * `GET /shards` — summaries of recent shard merges (cache key, member
-//!   count, utilization); `GET /shard/<key>` — the merged whole-device
-//!   artifact stored under a 16-hex-digit shard cache key (`?qasm=1`
-//!   embeds the OpenQASM text).
 //! * `GET /regions` — the resident-region free-list, per device: every
 //!   carved region with its physical qubits, busy flag, queue depth and
 //!   jobs-served count, plus the scheduler's cumulative carve/defrag
@@ -100,13 +91,13 @@ use crate::conn::Request;
 use crate::json::{escape, parse, Value};
 use crate::notify::Notifier;
 use crate::registry::Interner;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use tetris_engine::{CompileJob, Engine, EngineConfig, JobResult, RegionScheduler, ShardConfig};
+use tetris_engine::{CompileJob, Engine, EngineConfig, JobResult, RegionScheduler};
 use tetris_obs::trace::{self, StageTimings};
 
 /// Per-connection socket timeout: an idle or trickling client gets closed
@@ -139,12 +130,6 @@ pub struct ServerConfig {
     /// failures are counted (`tetris_trace_log_errors_total`) and
     /// swallowed — tracing must never fail a compile.
     pub trace_log: Option<std::path::PathBuf>,
-    /// When true (`tetris serve --resident-regions`), `"shard": true`
-    /// batches route through the resident-region scheduler instead of the
-    /// per-batch shard planner, so sharding clients get region residency
-    /// without changing their requests. `"resident": true` always routes
-    /// resident regardless of this flag.
-    pub resident_by_default: bool,
     /// Live-socket cap: connections accepted past it are answered `503 +
     /// Retry-After` and closed immediately (`tetris serve
     /// --max-connections`).
@@ -166,7 +151,6 @@ impl Default for ServerConfig {
         ServerConfig {
             job_ttl: Duration::from_secs(15 * 60),
             trace_log: None,
-            resident_by_default: false,
             max_connections: 1024,
             max_inflight: 4096,
             wait_timeout: Duration::from_secs(30),
@@ -195,26 +179,6 @@ enum JobRecord {
     },
 }
 
-/// One shard merge's summary, queryable at `GET /shards`. The artifact
-/// itself lives in the engine cache under `cache_key` and is served by
-/// `GET /shard/<key>` for as long as the cache retains it.
-struct ShardInfo {
-    /// Region-fingerprinted key of the merged whole-device artifact.
-    cache_key: u64,
-    /// Jobs packed into this shard group.
-    members: usize,
-    /// Jobs that did not fit and fell back to whole-device compilation.
-    leftover: usize,
-    /// Whether the merged artifact came from the cache.
-    merged_cached: bool,
-    /// Whether a merged artifact was produced at all.
-    merged: bool,
-}
-
-/// Bound on the shard-summary ring: old merges rotate out, their
-/// artifacts stay fetchable while cached.
-const MAX_SHARD_INFOS: usize = 256;
-
 /// State shared by every connection: the engine and the job table.
 pub struct AppState {
     engine: Engine,
@@ -223,8 +187,6 @@ pub struct AppState {
     pub(crate) config: ServerConfig,
     /// Completed records dropped by the TTL sweep (not client `DELETE`s).
     expired_total: AtomicU64,
-    /// Recent shard merges, newest last, bounded by [`MAX_SHARD_INFOS`].
-    shards: Mutex<VecDeque<ShardInfo>>,
     /// The resident-region scheduler: one free-list per device, shared by
     /// every `"resident": true` batch for the life of the process.
     scheduler: RegionScheduler,
@@ -253,7 +215,6 @@ impl AppState {
             next_id: AtomicU64::new(1),
             config,
             expired_total: AtomicU64::new(0),
-            shards: Mutex::new(VecDeque::new()),
             scheduler: RegionScheduler::with_default_config(),
             notifier: Notifier::new(),
             inflight_jobs: AtomicU64::new(0),
@@ -531,10 +492,8 @@ pub(crate) fn route_label(path: &str) -> &'static str {
         "/metrics" => "/metrics",
         "/healthz" => "/healthz",
         "/trace" => "/trace",
-        "/shards" => "/shards",
         "/regions" => "/regions",
         p if p.starts_with("/job/") => "/job",
-        p if p.starts_with("/shard/") => "/shard",
         _ => "other",
     }
 }
@@ -611,10 +570,6 @@ pub(crate) fn route(request: &Request, state: &Arc<AppState>, async_ok: bool) ->
             "GET" => Outcome::ready(200, trace_body(&request.query)),
             _ => Outcome::ready(405, error_body("use GET /trace")),
         },
-        "/shards" => match method {
-            "GET" => Outcome::ready(200, shards_body(state)),
-            _ => Outcome::ready(405, error_body("use GET /shards")),
-        },
         "/regions" => match method {
             "GET" => Outcome::ready(200, regions_body(state)),
             _ => Outcome::ready(405, error_body("use GET /regions")),
@@ -628,14 +583,6 @@ pub(crate) fn route(request: &Request, state: &Arc<AppState>, async_ok: bool) ->
                         Outcome::ready(code, body)
                     }
                     _ => Outcome::ready(405, error_body("use GET or DELETE /job/<id>")),
-                }
-            } else if let Some(key) = path.strip_prefix("/shard/") {
-                match method {
-                    "GET" => {
-                        let (code, body) = get_shard(state, key, &request.query);
-                        Outcome::ready(code, body)
-                    }
-                    _ => Outcome::ready(405, error_body("use GET /shard/<key>")),
                 }
             } else {
                 Outcome::ready(404, error_body("no such route"))
@@ -665,17 +612,18 @@ fn post_batch(state: &Arc<AppState>, body: &[u8], async_ok: bool) -> Outcome {
         None => Ok(false),
         Some(v) => v.as_bool().ok_or(()),
     };
-    let Ok(shard) = flag("shard") else {
-        return Outcome::ready(400, error_body("`shard` must be a boolean"));
-    };
+    if doc.get("shard").is_some() {
+        return Outcome::ready(
+            400,
+            error_body("`shard` is not supported: use `\"resident\": true` for region batches"),
+        );
+    }
     let Ok(resident) = flag("resident") else {
         return Outcome::ready(400, error_body("`resident` must be a boolean"));
     };
     let Ok(stream) = flag("stream") else {
         return Outcome::ready(400, error_body("`stream` must be a boolean"));
     };
-    // With `--resident-regions`, sharding clients get residency for free.
-    let resident = resident || (shard && state.config.resident_by_default);
 
     // Validate and build everything before touching the job table: a batch
     // either enqueues whole or not at all.
@@ -743,25 +691,17 @@ fn post_batch(state: &Arc<AppState>, body: &[u8], async_ok: bool) -> Outcome {
         }
     }
 
-    if resident || shard {
-        // Region-routed batches complete as a unit (the planner needs the
-        // whole batch): compile on a detached thread, then land every
-        // record and notify per job.
+    if resident {
+        // Region batches complete as a unit (placement needs the whole
+        // batch): compile on a detached thread, then land every record and
+        // notify per job.
         let worker_state = state.clone();
         let worker_ids = ids.clone();
         std::thread::spawn(move || {
-            let results = if resident {
-                worker_state
-                    .scheduler
-                    .schedule_batch(&worker_state.engine, jobs)
-                    .results
-            } else {
-                let batch = worker_state
-                    .engine
-                    .compile_batch_sharded(jobs, &ShardConfig::default());
-                record_shards(&worker_state, batch.shards);
-                batch.results
-            };
+            let results = worker_state
+                .scheduler
+                .schedule_batch(&worker_state.engine, jobs)
+                .results;
             if let Some(path) = &worker_state.config.trace_log {
                 append_trace_log(path, &results);
             }
@@ -824,23 +764,6 @@ fn post_batch(state: &Arc<AppState>, body: &[u8], async_ok: bool) -> Outcome {
 /// and a streaming batch's first frame.
 pub(crate) fn job_ids_body(ids: &[u64]) -> String {
     format!("{{ \"job_ids\": {ids:?} }}\n")
-}
-
-/// Rolls a sharded batch's reports into the bounded summary ring.
-fn record_shards(state: &AppState, reports: Vec<tetris_engine::ShardReport>) {
-    let mut ring = state.shards.lock().expect("shard ring lock");
-    for r in reports {
-        if ring.len() == MAX_SHARD_INFOS {
-            ring.pop_front();
-        }
-        ring.push_back(ShardInfo {
-            cache_key: r.cache_key,
-            members: r.plan.members.len(),
-            leftover: r.plan.leftover.len(),
-            merged_cached: r.merged_cached,
-            merged: r.merged.is_some(),
-        });
-    }
 }
 
 /// Appends one JSONL record per result to the trace log. Failures are
@@ -987,8 +910,8 @@ fn job_body(id: u64, r: &JobResult, with_qasm: bool, with_trace: bool) -> String
     } else {
         String::new()
     };
-    // Sharded jobs report the physical device qubits they were packed
-    // onto (global indices, ascending).
+    // Region jobs report the physical device qubits they were packed onto
+    // (global indices, ascending).
     let region = match &r.region {
         Some(region) => format!(
             " \"region\": {:?},",
@@ -1193,22 +1116,6 @@ fn trace_body(query: &str) -> String {
     format!("{{ \"events\": [{}] }}\n", entries.join(", "))
 }
 
-/// `GET /shards`: summaries of recent shard merges, oldest first.
-fn shards_body(state: &AppState) -> String {
-    let ring = state.shards.lock().expect("shard ring lock");
-    let entries: Vec<String> = ring
-        .iter()
-        .map(|s| {
-            format!(
-                "{{ \"cache_key\": \"{:016x}\", \"members\": {}, \"leftover\": {}, \
-                 \"merged\": {}, \"merged_cached\": {} }}",
-                s.cache_key, s.members, s.leftover, s.merged, s.merged_cached,
-            )
-        })
-        .collect();
-    format!("{{ \"shards\": [{}] }}\n", entries.join(", "))
-}
-
 /// `GET /regions`: the resident-region free-list per device, plus the
 /// scheduler's cumulative counters — the live view of the carve →
 /// resident → queue → defrag → release lifecycle.
@@ -1251,48 +1158,6 @@ fn regions_body(state: &AppState) -> String {
         s.displaced,
         s.regions_released,
         devices.join(", "),
-    )
-}
-
-/// `GET /shard/<key>`: the merged whole-device artifact cached under a
-/// 16-hex-digit shard key (as listed by `/shards` or a sharded batch's
-/// job records). 404 once the cache has let it go.
-fn get_shard(state: &AppState, key: &str, query: &str) -> (u16, String) {
-    let parsed = (key.len() == 16)
-        .then(|| u64::from_str_radix(key, 16).ok())
-        .flatten();
-    let Some(key) = parsed else {
-        return (400, error_body("shard key must be 16 hex digits"));
-    };
-    let with_qasm = query.split('&').any(|kv| kv == "qasm=1");
-    let Some(output) = state.engine.cached_output(key) else {
-        return (404, error_body(&format!("no cached artifact {key:016x}")));
-    };
-    let s = &output.stats;
-    let qasm = if with_qasm {
-        format!(
-            " \"qasm\": \"{}\",",
-            escape(&tetris_circuit::qasm::to_qasm(&output.circuit))
-        )
-    } else {
-        String::new()
-    };
-    (
-        200,
-        format!(
-            "{{ \"cache_key\": \"{key:016x}\", \"compiler\": \"{}\",{qasm} \
-             \"stats_digest\": \"{:016x}\", \"gates\": {}, \"cnots\": {}, \"swaps\": {}, \
-             \"depth\": {}, \"duration\": {}, \"cancel_ratio\": {:.4}, \"stages\": {} }}\n",
-            escape(&output.compiler),
-            output.stats_digest(),
-            output.circuit.len(),
-            s.total_cnots(),
-            s.swaps_final,
-            s.metrics.depth,
-            s.metrics.duration,
-            s.cancel_ratio(),
-            stages_json(&output.stages),
-        ),
     )
 }
 

@@ -193,10 +193,20 @@ fn bad_requests_are_rejected_not_fatal() {
             r#"{"jobs": [{"backend": "tetris"}]}"#,
             "missing workload field",
         ),
+        (
+            r#"{"shard": true, "jobs": [{"workload": "REG3-8-s1", "backend": "tetris", "device": "grid-4x4"}]}"#,
+            "removed shard flag",
+        ),
     ] {
         let (status, response) = request(&addr, "POST", "/batch", Some(body));
         assert_eq!(status, 400, "{why} must 400: {response}");
         assert!(response.contains("error"), "{why}: {response}");
+        if body.contains("shard") {
+            assert!(
+                response.contains("resident"),
+                "the rejection names the region flag: {response}"
+            );
+        }
     }
 
     // Nothing was enqueued by any failed batch.
@@ -351,51 +361,10 @@ fn keep_alive_serves_many_requests_on_one_socket() {
 }
 
 #[test]
-fn sharded_batches_report_disjoint_regions() {
+fn observability_endpoints_expose_metrics_and_traces() {
     let addr = start_server();
-    // Two 8-qubit workloads sharded onto one 16-qubit grid: the planner
-    // must pack them side by side (slack retries down to zero).
-    let body = r#"{ "shard": true, "jobs": [
-        {"workload": "REG3-8-s1", "backend": "tetris", "device": "grid-4x4"},
-        {"workload": "REG3-8-s2", "backend": "tetris", "device": "grid-4x4"}
-    ] }"#;
-    let (status, response) = request(&addr, "POST", "/batch", Some(body));
-    assert_eq!(status, 200, "{response}");
-
-    let first = poll_done(&addr, 1, Duration::from_secs(120));
-    let second = poll_done(&addr, 2, Duration::from_secs(120));
-    let parse_region = |body: &str| -> Vec<usize> {
-        let tag = "\"region\": [";
-        let rest = &body[body.find(tag).expect("region field") + tag.len()..];
-        let list = &rest[..rest.find(']').expect("close bracket")];
-        list.split(',')
-            .map(|s| s.trim().parse().expect("qubit index"))
-            .collect()
-    };
-    let a = parse_region(&first);
-    let b = parse_region(&second);
-    assert_eq!(a.len() + b.len(), 16, "8 + 8 on a 16-qubit grid, no slack");
-    assert!(
-        a.iter().all(|q| !b.contains(q)),
-        "regions overlap: {a:?} {b:?}"
-    );
-    assert!(a.iter().chain(&b).all(|&q| q < 16));
-
-    // A non-boolean shard flag is rejected whole-batch.
-    let (status, response) = request(
-        &addr,
-        "POST",
-        "/batch",
-        Some(r#"{ "shard": "yes", "jobs": [{"workload": "REG3-8-s1", "backend": "tetris"}] }"#),
-    );
-    assert_eq!(status, 400, "{response}");
-}
-
-#[test]
-fn observability_endpoints_expose_metrics_traces_and_shards() {
-    let addr = start_server();
-    // A sharded batch lights up the shard, merge and stage series.
-    let body = r#"{ "shard": true, "jobs": [
+    // A resident batch lights up the carve and stage series.
+    let body = r#"{ "resident": true, "jobs": [
         {"workload": "REG3-8-s1", "backend": "tetris", "device": "grid-4x4"},
         {"workload": "REG3-8-s2", "backend": "tetris", "device": "grid-4x4"}
     ] }"#;
@@ -424,7 +393,7 @@ fn observability_endpoints_expose_metrics_traces_and_shards() {
     );
 
     // /metrics is Prometheus text exposition with engine, cache (both
-    // tiers), shard and HTTP series present.
+    // tiers), region and HTTP series present.
     let (status, metrics) = request(&addr, "GET", "/metrics", None);
     assert_eq!(status, 200);
     for series in [
@@ -435,8 +404,8 @@ fn observability_endpoints_expose_metrics_traces_and_shards() {
         "tetris_cache_lookups_total{tier=\"disk\",outcome=\"miss\"}",
         "tetris_cache_gc_evictions_total{tier=\"disk\"}",
         "tetris_cache_purged_total{tier=\"disk\"}",
-        "tetris_shard_plans_total",
-        "tetris_shard_merges_total",
+        "tetris_stage_seconds_bucket{stage=\"carve\"",
+        "tetris_carves_performed_total",
         "tetris_http_requests_total{route=\"/batch\",class=\"2xx\"}",
         "tetris_http_request_seconds_bucket",
         "tetris_server_jobs",
@@ -448,32 +417,6 @@ fn observability_endpoints_expose_metrics_traces_and_shards() {
             "missing `{series}` in:\n{metrics}"
         );
     }
-
-    // /shards lists the merge; /shard/<key> serves the merged artifact.
-    let (status, shards) = request(&addr, "GET", "/shards", None);
-    assert_eq!(status, 200, "{shards}");
-    let key = field(&shards, "cache_key")
-        .expect("one shard summary")
-        .to_string();
-    assert_eq!(key.len(), 16, "hex key: {key}");
-    let (status, artifact) = request(&addr, "GET", &format!("/shard/{key}"), None);
-    assert_eq!(status, 200, "{artifact}");
-    assert_eq!(field(&artifact, "cache_key"), Some(key.as_str()));
-    assert!(
-        field(&artifact, "gates")
-            .expect("gates")
-            .parse::<usize>()
-            .expect("numeric")
-            > 0
-    );
-    let (_, with_qasm) = request(&addr, "GET", &format!("/shard/{key}?qasm=1"), None);
-    assert!(with_qasm.contains("OPENQASM 2.0"), "qasm embedded");
-    // Bad or unknown keys are client errors, not crashes.
-    assert_eq!(request(&addr, "GET", "/shard/zz", None).0, 400);
-    assert_eq!(
-        request(&addr, "GET", "/shard/0000000000000000", None).0,
-        404
-    );
 
     // /trace serves recent completions from the ring.
     let (status, trace) = request(&addr, "GET", "/trace?n=10", None);
@@ -509,7 +452,9 @@ fn resident_batches_keep_regions_alive_across_submissions() {
     };
     let a = parse_region(&first);
     let b = parse_region(&second);
+    assert_eq!(a.len() + b.len(), 16, "8 + 8 on a 16-qubit grid, no slack");
     assert!(a.iter().all(|q| !b.contains(q)), "{a:?} overlaps {b:?}");
+    assert!(a.iter().chain(&b).all(|&q| q < 16));
 
     // The carved regions are still alive after the batch: /regions shows
     // two idle residents on the grid, one job served each.
@@ -574,40 +519,6 @@ fn resident_batches_keep_regions_alive_across_submissions() {
         Some(r#"{ "resident": 1, "jobs": [{"workload": "REG3-8-s1", "backend": "tetris"}] }"#),
     );
     assert_eq!(status, 400, "{response}");
-}
-
-#[test]
-fn resident_by_default_routes_sharded_batches_through_the_scheduler() {
-    // `tetris serve --resident-regions`: clients keep sending
-    // `"shard": true` and transparently get region residency.
-    let server = CompileServer::bind_with(
-        "127.0.0.1:0",
-        EngineConfig {
-            threads: 2,
-            cache_capacity: 64,
-            cache_dir: None,
-            cache_max_bytes: None,
-        },
-        ServerConfig {
-            resident_by_default: true,
-            ..Default::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr().to_string();
-    let state = server.serve_background();
-
-    let body = r#"{ "shard": true, "jobs": [
-        {"workload": "REG3-8-s1", "backend": "tetris", "device": "grid-4x4"},
-        {"workload": "REG3-8-s2", "backend": "tetris", "device": "grid-4x4"}
-    ] }"#;
-    let (status, response) = request(&addr, "POST", "/batch", Some(body));
-    assert_eq!(status, 200, "{response}");
-    poll_done(&addr, 1, Duration::from_secs(120));
-    poll_done(&addr, 2, Duration::from_secs(120));
-    let stats = state.scheduler().stats();
-    assert_eq!(stats.carves_performed, 2, "routed resident, not per-batch");
-    assert_eq!(stats.resident_regions, 2);
 }
 
 #[test]

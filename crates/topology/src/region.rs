@@ -108,7 +108,7 @@ impl Region {
 
     /// A stable 64-bit content fingerprint of the region: the device width
     /// plus the member set. Combined with the device fingerprint this keys
-    /// sharded compilation results so they can never collide with
+    /// region compilation results so they can never collide with
     /// whole-chip results of the same workload.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fingerprint64::new();

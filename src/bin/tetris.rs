@@ -29,7 +29,7 @@ fn usage() -> ExitCode {
                      [--profile] [--connections [N]] [--out FILE]
   tetris serve   [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--cache-capacity N]
                  [--cache-max-bytes B] [--job-ttl-secs S] [--trace-log FILE]
-                 [--resident-regions] [--max-connections N] [--max-inflight N]
+                 [--max-connections N] [--max-inflight N]
                  [--wait-timeout-ms MS] [--blocking-front-end]
 
 molecules: LiH BeH2 CH4 MgH2 LiCl CO2"
@@ -195,11 +195,12 @@ fn cmd_compare(args: &Args) -> Option<ExitCode> {
 /// second pass is served from the content-addressed cache, which the
 /// report's `cached_fraction` makes visible. With `--shard` the report
 /// additionally compares a batch of small workloads compiled sequentially
-/// against a whole 130-node heavy-hex chip vs sharded onto carved regions
-/// of it (per-region utilization + wall-clock speedup). With `--resident`
-/// the report gains a `"resident"` section comparing the resident-region
-/// scheduler against per-batch sharding on steady-state repeat traffic
-/// (carve-skip ratio + wall-clock speedup + digest pinning). With
+/// against a whole 130-node heavy-hex chip vs placed onto carved regions
+/// of it by the region scheduler (per-region utilization + wall-clock
+/// speedup). With `--resident` the report gains a `"resident"` section
+/// comparing one long-lived region scheduler against a fresh scheduler
+/// per submission on steady-state repeat traffic (carve-skip ratio +
+/// wall-clock speedup + digest pinning). With
 /// `--profile` the report gains a `"profile"` section measuring the
 /// observability layer's overhead (suite compiled cold with recording
 /// disabled vs enabled) plus per-stage wall-time aggregates. With
@@ -311,9 +312,7 @@ fn cmd_bench_suite(args: &Args) -> Option<ExitCode> {
 /// `--cache-max-bytes`), so a restarted server answers previously compiled
 /// batches from disk; `--job-ttl-secs` bounds the in-memory job table;
 /// `--trace-log FILE` appends one JSONL record per completed job (labels,
-/// engine wall, per-stage timeline); `--resident-regions` routes
-/// `"shard": true` batches through the resident-region scheduler, so
-/// carved regions stay alive across batches. Admission knobs:
+/// engine wall, per-stage timeline). Admission knobs:
 /// `--max-connections` caps live sockets and `--max-inflight` caps queued
 /// jobs (both shed with `503 + Retry-After` past the cap);
 /// `--wait-timeout-ms` bounds long-poll parks (`GET /job/<id>?wait=1`).
@@ -347,7 +346,6 @@ fn cmd_serve(args: &Args) -> Option<ExitCode> {
         server_config.job_ttl = std::time::Duration::from_secs(secs);
     }
     server_config.trace_log = args.value("--trace-log").map(std::path::PathBuf::from);
-    server_config.resident_by_default = args.flag("--resident-regions");
     if let Some(n) = args.value("--max-connections").and_then(|v| v.parse().ok()) {
         server_config.max_connections = n;
     }
