@@ -535,15 +535,15 @@ impl SuitePass {
 /// scheduler against a fresh scheduler per batch on repeat traffic; with `profile`
 /// set, a `"profile"` section with the observability overhead and
 /// per-stage wall-time aggregates; with `connections` set, a
-/// `"connections"` section comparing the reactor front-end against the
-/// thread-per-connection baseline under a connect storm.
+/// `"connections"` section with the reactor front-end's connect storm
+/// and its independent references.
 pub fn json_report(
     threads: usize,
     passes: &[SuitePass],
     shard: Option<&ShardComparison>,
     resident: Option<&ResidentComparison>,
     profile: Option<&SuiteProfile>,
-    connections: Option<&crate::connstress::ConnStressComparison>,
+    connections: Option<&crate::connstress::ConnStress>,
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -617,46 +617,28 @@ pub fn json_report(
     }
     let mut sections: Vec<String> = Vec::new();
     if let Some(c) = connections {
-        let side = |s: &crate::connstress::FrontEndStress| {
-            format!(
-                "    \"{}\": {{ \"connections\": {}, \"completed\": {}, \"errors\": {}, \
-                 \"shed\": {}, \"peak_connections\": {}, \"wall_seconds\": {:.6}, \
-                 \"first_byte_p50\": {:.6}, \"first_byte_p95\": {:.6}, \"first_byte_p99\": {:.6}, \
-                 \"complete_p50\": {:.6}, \"complete_p95\": {:.6}, \"complete_p99\": {:.6} }}",
-                s.front_end,
-                s.connections,
-                s.completed,
-                s.errors,
-                s.shed,
-                s.peak_connections,
-                s.wall_seconds,
-                s.first_byte_p50,
-                s.first_byte_p95,
-                s.first_byte_p99,
-                s.complete_p50,
-                s.complete_p95,
-                s.complete_p99,
-            )
-        };
-        let mut sec = String::new();
-        let _ = writeln!(sec, "  \"connections\": {{");
-        let _ = writeln!(sec, "    \"connections\": {},", c.connections);
-        let _ = writeln!(
-            sec,
-            "    \"baseline_connections\": {},",
-            c.baseline_connections
-        );
-        let _ = writeln!(
-            sec,
-            "    \"connection_ratio\": {:.4},",
-            c.connection_ratio()
-        );
-        let _ = writeln!(sec, "    \"wall_ratio\": {:.4},", c.wall_ratio());
-        let _ = writeln!(sec, "    \"digest_match\": {},", c.digest_match());
-        let _ = writeln!(sec, "{},", side(&c.reactor));
-        let _ = writeln!(sec, "{}", side(&c.blocking));
-        sec.push_str("  }");
-        sections.push(sec);
+        sections.push(format!(
+            "  \"connections\": {{ \"connections\": {}, \"completed\": {}, \"errors\": {}, \
+             \"shed\": {}, \"peak_connections\": {}, \"wall_seconds\": {:.6}, \
+             \"anchor_compile_seconds\": {:.6}, \"wall_ratio\": {:.4}, \"digest_match\": {}, \
+             \"first_byte_p50\": {:.6}, \"first_byte_p95\": {:.6}, \"first_byte_p99\": {:.6}, \
+             \"complete_p50\": {:.6}, \"complete_p95\": {:.6}, \"complete_p99\": {:.6} }}",
+            c.connections,
+            c.completed,
+            c.errors,
+            c.shed,
+            c.peak_connections,
+            c.wall_seconds,
+            c.anchor_compile_seconds,
+            c.wall_ratio(),
+            c.digest_match(),
+            c.first_byte_p50,
+            c.first_byte_p95,
+            c.first_byte_p99,
+            c.complete_p50,
+            c.complete_p95,
+            c.complete_p99,
+        ));
     }
     if let Some(p) = profile {
         let mut sec = String::new();
@@ -875,16 +857,15 @@ mod tests {
 
     #[test]
     fn connections_section_renders() {
-        use crate::connstress::{ConnStressComparison, FrontEndStress};
+        use crate::connstress::ConnStress;
         use std::collections::BTreeSet;
-        let side = |label: &'static str, n: usize, wall: f64| FrontEndStress {
-            front_end: label,
-            connections: n,
-            completed: n,
+        let stress = ConnStress {
+            connections: 400,
+            completed: 400,
             errors: 0,
-            peak_connections: n as u64,
+            peak_connections: 400,
             shed: 0,
-            wall_seconds: wall,
+            wall_seconds: 1.0,
             first_byte_p50: 0.001,
             first_byte_p95: 0.002,
             first_byte_p99: 0.003,
@@ -892,25 +873,24 @@ mod tests {
             complete_p95: 0.005,
             complete_p99: 0.006,
             digests: BTreeSet::from(["d1".to_string()]),
+            reference_digests: BTreeSet::from(["d1".to_string()]),
+            anchor_compile_seconds: 0.5,
         };
-        let cmp = ConnStressComparison {
-            connections: 400,
-            baseline_connections: 100,
-            reactor: side("reactor", 400, 1.0),
-            blocking: side("blocking", 100, 2.0),
-        };
-        assert!((cmp.connection_ratio() - 4.0).abs() < 1e-12);
-        assert!((cmp.wall_ratio() - 0.5).abs() < 1e-12);
-        assert!(cmp.digest_match());
-        let report = json_report(2, &[], None, None, None, Some(&cmp));
-        assert!(report.contains("\"connections\": {"));
-        assert!(report.contains("\"connection_ratio\": 4.0000"));
-        assert!(report.contains("\"wall_ratio\": 0.5000"));
+        assert!((stress.wall_ratio() - 2.0).abs() < 1e-12);
+        assert!(stress.digest_match());
+        let report = json_report(2, &[], None, None, None, Some(&stress));
+        assert!(report.contains("\"connections\": { \"connections\": 400,"));
+        assert!(report.contains("\"peak_connections\": 400"));
+        assert!(report.contains("\"anchor_compile_seconds\": 0.500000"));
+        assert!(report.contains("\"wall_ratio\": 2.0000"));
         assert!(report.contains("\"digest_match\": true"));
-        assert!(report.contains("\"reactor\": {"));
-        assert!(report.contains("\"blocking\": {"));
         assert!(report.contains("\"first_byte_p95\": 0.002000"));
         assert!(report.trim_end().ends_with('}'));
+        let diverged = ConnStress {
+            reference_digests: BTreeSet::from(["d2".to_string()]),
+            ..stress
+        };
+        assert!(!diverged.digest_match());
     }
 
     #[test]

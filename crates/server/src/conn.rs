@@ -8,10 +8,10 @@
 //!
 //! * [`RequestParser`] — accumulates read bytes and yields complete
 //!   [`Request`]s: incremental head scan for the `\r\n\r\n` terminator,
-//!   then `Content-Length` body framing, with the same bounds and error
-//!   strings as the original blocking reader (`MAX_HEAD`, `MAX_BODY`,
-//!   chunked request bodies refused). Bytes past one request stay buffered
-//!   for the next (pipelining-safe).
+//!   then `Content-Length` body framing, bounded by `MAX_HEAD` and
+//!   `MAX_BODY`, with chunked request bodies refused and each violation
+//!   answered by a fixed error string. Bytes past one request stay
+//!   buffered for the next (pipelining-safe).
 //! * [`WriteBuf`] — a queue of response bytes drained opportunistically on
 //!   `POLLOUT`; handles short writes and `WouldBlock` so a slow reader
 //!   never blocks the reactor thread.
@@ -280,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn protocol_violations_error_with_the_blocking_reader_messages() {
+    fn protocol_violations_error_with_fixed_messages() {
         let mut p = RequestParser::new();
         p.push(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
         assert_eq!(p.next_request(), Err("transfer-encoding not supported"));

@@ -1,22 +1,12 @@
 //! Routing, handlers, and shared state for the HTTP front-end.
 //!
-//! Two front-ends share everything in this module (see
-//! [`ServerConfig::front_end`]):
-//!
-//! * [`FrontEnd::Reactor`] (the default on unix) — a nonblocking
-//!   `poll(2)` readiness loop in [`crate::reactor`] owning every socket,
-//!   with per-connection incremental parse/write state machines from
-//!   [`crate::conn`]. Job completions are pushed back into the loop over
-//!   a wakeup pipe ([`crate::notify`]), which is what makes long-polling
-//!   (`GET /job/<id>?wait=1`) and per-job result streaming
-//!   (`POST /batch {"stream": true}`) possible without parking a thread
-//!   per waiting client.
-//! * [`FrontEnd::Blocking`] — the original thread-per-connection
-//!   keep-alive loop in [`crate::blocking`], kept as the baseline the
-//!   connection-stress bench compares against (and the fallback on
-//!   non-unix hosts). It serves the same routes; `wait=1` degrades to an
-//!   immediate pending response and `"stream": true` to a plain
-//!   `job_ids` reply.
+//! One front-end serves every socket: a nonblocking `poll(2)` readiness
+//! loop in [`crate::reactor`], with per-connection incremental
+//! parse/write state machines from [`crate::conn`]. Job completions are
+//! pushed back into the loop over a wakeup pipe ([`crate::notify`]),
+//! which is what makes long-polling (`GET /job/<id>?wait=1`) and per-job
+//! result streaming (`POST /batch {"stream": true}`) possible without
+//! parking a thread per waiting client.
 //!
 //! Routes:
 //!
@@ -32,17 +22,17 @@
 //!   the free-list and the resident artifact cache without carving, and
 //!   contended regions queue jobs FIFO rather than failing over
 //!   whole-chip (`GET /regions` shows the live free-list). Returns
-//!   `{"job_ids": [...]}` — or, with `"stream": true` on the reactor
-//!   front-end, a chunked transfer-encoding response whose first
-//!   frame is the `job_ids` record and whose following frames are the
-//!   full per-job result records, pushed the moment each job finishes
-//!   (bit-identical to what `GET /job/<id>` returns for the same job).
+//!   `{"job_ids": [...]}` — or, with `"stream": true`, a chunked
+//!   transfer-encoding response whose first frame is the `job_ids`
+//!   record and whose following frames are the full per-job result
+//!   records, pushed the moment each job finishes (bit-identical to what
+//!   `GET /job/<id>` returns for the same job).
 //! * `GET /job/<id>` — `{"status": "pending"}` while compiling, else the
 //!   full result record (stats, cache provenance, a `stats_digest` for
 //!   bit-exactness checks, and the gate list length; `?qasm=1` embeds the
-//!   OpenQASM text). With `?wait=1` the reactor front-end parks the
-//!   request instead of answering `pending`: the response is sent the
-//!   moment the job completes, or after `?wait_ms=` (capped by
+//!   OpenQASM text). With `?wait=1` the reactor parks the request
+//!   instead of answering `pending`: the response is sent the moment the
+//!   job completes, or after `?wait_ms=` (capped by
 //!   [`ServerConfig::wait_timeout`]) with the usual pending record as the
 //!   timeout fallback — so clients long-poll instead of busy-polling.
 //! * `DELETE /job/<id>` — drops the record; a deleted pending job is
@@ -80,12 +70,11 @@
 //! record to the given file.
 //!
 //! Completed jobs are evicted after [`ServerConfig::job_ttl`]. The sweep
-//! is amortized: the reactor runs it on a timer tick (the blocking
-//! front-end keeps a sweeper thread), and only the cold observability
-//! paths (`/stats`, `/metrics`, `DELETE`) still sweep inline so their
-//! counts are exact at read time — the hot `GET /job` and `POST /batch`
-//! paths no longer pay an O(table) scan per request (pending jobs are
-//! never swept — the worker still owes them a result).
+//! is amortized: the reactor runs it on a timer tick, and only the cold
+//! observability paths (`/stats`, `/metrics`, `DELETE`) still sweep
+//! inline so their counts are exact at read time — the hot `GET /job` and
+//! `POST /batch` paths no longer pay an O(table) scan per request
+//! (pending jobs are never swept — the worker still owes them a result).
 
 use crate::conn::Request;
 use crate::json::{escape, parse, Value};
@@ -100,24 +89,10 @@ use std::time::{Duration, Instant};
 use tetris_engine::{CompileJob, Engine, EngineConfig, JobResult, RegionScheduler};
 use tetris_obs::trace::{self, StageTimings};
 
-/// Per-connection socket timeout: an idle or trickling client gets closed
-/// (reactor) or its read/write aborted (blocking) instead of holding
-/// resources forever. Doubles as the keep-alive idle timeout and the
-/// graceful-drain deadline.
+/// Per-connection idle timeout: a client that sends nothing for this long
+/// between requests is closed instead of holding a socket forever. Doubles
+/// as the graceful-drain deadline.
 pub(crate) const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Which connection-handling architecture serves the sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontEnd {
-    /// Nonblocking `poll(2)` reactor: one thread owns every socket,
-    /// long-polling and result streaming work, admission control at
-    /// accept time. The default on unix.
-    Reactor,
-    /// Thread-per-connection blocking loop: the pre-reactor architecture,
-    /// kept as the stress-bench baseline and the non-unix fallback.
-    /// `wait=1` and `"stream": true` degrade to their immediate forms.
-    Blocking,
-}
 
 /// Server-side policy knobs (everything not owned by the engine).
 #[derive(Debug, Clone)]
@@ -142,8 +117,6 @@ pub struct ServerConfig {
     /// client's `wait_ms` is capped by it (`tetris serve
     /// --wait-timeout-ms`). On timeout the usual pending record is sent.
     pub wait_timeout: Duration,
-    /// Which front-end serves connections.
-    pub front_end: FrontEnd,
 }
 
 impl Default for ServerConfig {
@@ -154,11 +127,6 @@ impl Default for ServerConfig {
             max_connections: 1024,
             max_inflight: 4096,
             wait_timeout: Duration::from_secs(30),
-            front_end: if cfg!(unix) {
-                FrontEnd::Reactor
-            } else {
-                FrontEnd::Blocking
-            },
         }
     }
 }
@@ -190,8 +158,7 @@ pub struct AppState {
     /// The resident-region scheduler: one free-list per device, shared by
     /// every `"resident": true` batch for the life of the process.
     scheduler: RegionScheduler,
-    /// Job-completion push channel into the reactor (inert under the
-    /// blocking front-end).
+    /// Job-completion push channel into the reactor.
     pub(crate) notifier: Notifier,
     /// Jobs submitted and not yet finished — the admission-control gauge.
     pub(crate) inflight_jobs: AtomicU64,
@@ -267,9 +234,9 @@ impl AppState {
     }
 
     /// Drops every `Done` record older than the TTL. Runs on the reactor's
-    /// timer tick (or the blocking front-end's sweeper thread) and inline
-    /// on the cold `/stats` / `/metrics` / `DELETE` paths, so those counts
-    /// are exact while hot `GET /job` traffic never pays an O(table) scan.
+    /// timer tick and inline on the cold `/stats` / `/metrics` / `DELETE`
+    /// paths, so those counts are exact while hot `GET /job` traffic never
+    /// pays an O(table) scan.
     fn sweep_expired(&self, table: &mut HashMap<u64, JobRecord>) {
         let now = Instant::now();
         let before = table.len();
@@ -283,7 +250,7 @@ impl AppState {
         }
     }
 
-    /// One amortized sweep pass (the reactor tick / sweeper thread entry).
+    /// One amortized sweep pass (the reactor's timer tick).
     pub(crate) fn sweep(&self) {
         let mut table = self.jobs.lock().expect("job table lock");
         self.sweep_expired(&mut table);
@@ -307,8 +274,8 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Requests a graceful drain (reactor front-end; the blocking
-    /// front-end has no drain path and ignores it).
+    /// Requests a graceful drain: the reactor stops accepting, finishes
+    /// what is in flight, and returns from its loop.
     pub fn shutdown(&self) {
         self.notifier.shutdown();
     }
@@ -360,45 +327,23 @@ impl CompileServer {
         self.state.handle()
     }
 
-    /// Serves connections on the calling thread (the CLI path). The
-    /// reactor front-end returns from its loop only after a graceful
-    /// drain, at which point the process exits cleanly; the blocking
-    /// front-end accepts forever.
+    /// Runs the reactor on the calling thread (the CLI path). The reactor
+    /// returns only after a graceful drain, at which point the process
+    /// exits cleanly.
     pub fn serve_forever(self) -> ! {
-        let CompileServer {
-            listener, state, ..
-        } = self;
-        match state.config.front_end {
-            #[cfg(unix)]
-            FrontEnd::Reactor => {
-                crate::reactor::run(listener, state);
-                // The reactor only returns after a graceful drain.
-                std::process::exit(0)
-            }
-            _ => {
-                crate::blocking::serve_loop(listener, state);
-                unreachable!("the blocking accept loop never returns")
-            }
-        }
+        crate::reactor::run(self.listener, self.state);
+        std::process::exit(0)
     }
 
-    /// Serves connections on a detached background thread (the test
-    /// path). The thread lives until the process exits or, under the
-    /// reactor front-end, until [`ServerHandle::shutdown`] drains it.
+    /// Runs the reactor on a detached background thread (the test path).
+    /// The thread lives until the process exits or
+    /// [`ServerHandle::shutdown`] drains it.
     pub fn serve_background(self) -> Arc<AppState> {
         let CompileServer {
             listener, state, ..
         } = self;
         let ret = state.clone();
-        match state.config.front_end {
-            #[cfg(unix)]
-            FrontEnd::Reactor => {
-                std::thread::spawn(move || crate::reactor::run(listener, state));
-            }
-            _ => {
-                std::thread::spawn(move || crate::blocking::serve_loop(listener, state));
-            }
-        }
+        std::thread::spawn(move || crate::reactor::run(listener, state));
         ret
     }
 }
@@ -524,15 +469,14 @@ pub(crate) enum Outcome {
     /// A complete response, ready to send.
     Ready(u16, Payload),
     /// Park the connection until job `id` completes or `wait` elapses,
-    /// then answer with [`job_response`] (reactor front-end only).
+    /// then answer with [`job_response`].
     LongPoll {
         id: u64,
         wait: Duration,
         with_qasm: bool,
         with_trace: bool,
     },
-    /// Open a chunked stream and push one frame per job as it completes
-    /// (reactor front-end only).
+    /// Open a chunked stream and push one frame per job as it completes.
     Stream(Vec<u64>),
 }
 
@@ -542,16 +486,14 @@ impl Outcome {
     }
 }
 
-/// Routes one request. `async_ok` is true only on the reactor front-end,
-/// where long-poll parks and chunked streams are possible; the blocking
-/// front-end always gets [`Outcome::Ready`].
-pub(crate) fn route(request: &Request, state: &Arc<AppState>, async_ok: bool) -> Outcome {
+/// Routes one request to its handler.
+pub(crate) fn route(request: &Request, state: &Arc<AppState>) -> Outcome {
     // Resolve the path first, then the method: an unknown path is 404 for
     // every method, a known path with the wrong method is 405.
     let method = request.method.as_str();
     match request.path.as_str() {
         "/batch" => match method {
-            "POST" => post_batch(state, &request.body, async_ok),
+            "POST" => post_batch(state, &request.body),
             _ => Outcome::ready(405, error_body("use POST /batch")),
         },
         "/stats" => match method {
@@ -577,7 +519,7 @@ pub(crate) fn route(request: &Request, state: &Arc<AppState>, async_ok: bool) ->
         path => {
             if let Some(id) = path.strip_prefix("/job/") {
                 match method {
-                    "GET" => get_job(state, id, &request.query, async_ok),
+                    "GET" => get_job(state, id, &request.query),
                     "DELETE" => {
                         let (code, body) = delete_job(state, id);
                         Outcome::ready(code, body)
@@ -593,7 +535,7 @@ pub(crate) fn route(request: &Request, state: &Arc<AppState>, async_ok: bool) ->
 
 // --------------------------------------------------------------- handlers
 
-fn post_batch(state: &Arc<AppState>, body: &[u8], async_ok: bool) -> Outcome {
+fn post_batch(state: &Arc<AppState>, body: &[u8]) -> Outcome {
     let text = match std::str::from_utf8(body) {
         Ok(t) => t,
         Err(_) => return Outcome::ready(400, error_body("body is not UTF-8")),
@@ -753,7 +695,7 @@ fn post_batch(state: &Arc<AppState>, body: &[u8], async_ok: bool) -> Outcome {
         });
     }
 
-    if stream && async_ok {
+    if stream {
         Outcome::Stream(ids)
     } else {
         Outcome::ready(200, job_ids_body(&ids))
@@ -798,14 +740,14 @@ fn append_trace_log(path: &std::path::Path, results: &[JobResult]) {
     }
 }
 
-fn get_job(state: &Arc<AppState>, id: &str, query: &str, async_ok: bool) -> Outcome {
+fn get_job(state: &Arc<AppState>, id: &str, query: &str) -> Outcome {
     let Ok(id) = id.parse::<u64>() else {
         return Outcome::ready(400, error_body("job id must be an integer"));
     };
     // Exact key=value match — `?noqasm=1` must not trigger embedding.
     let with_qasm = query.split('&').any(|kv| kv == "qasm=1");
     let with_trace = query.split('&').any(|kv| kv == "trace=1");
-    if async_ok && query.split('&').any(|kv| kv == "wait=1") {
+    if query.split('&').any(|kv| kv == "wait=1") {
         let is_pending = {
             let table = state.jobs.lock().expect("job table lock");
             matches!(table.get(&id), Some(JobRecord::Pending { .. }))

@@ -30,7 +30,11 @@
 
 #![warn(missing_docs)]
 
-pub(crate) mod blocking;
+// The front end is a `poll(2)` reactor over raw unix descriptors; this is
+// the one place the platform is decided.
+#[cfg(not(unix))]
+compile_error!("tetris-server runs on unix only: its front end is a poll(2) reactor");
+
 pub mod conn;
 pub mod http;
 pub mod json;
@@ -39,5 +43,5 @@ pub mod poll;
 pub(crate) mod reactor;
 pub mod registry;
 
-pub use http::{AppState, CompileServer, FrontEnd, ServerConfig, ServerHandle};
+pub use http::{AppState, CompileServer, ServerConfig, ServerHandle};
 pub use notify::Notifier;

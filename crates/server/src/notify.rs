@@ -5,12 +5,12 @@
 //! mutexed queue and a single byte is written to the reactor's wakeup
 //! pipe (one end of a nonblocking `UnixStream` pair), so the reactor
 //! returns from `poll` immediately, drains the queue, and pushes
-//! responses to long-polling and streaming clients. While no reactor is
-//! attached (the thread-per-connection fallback front-end, or before
-//! `serve_*` is called) notifications are dropped instead of queued, so
-//! the queue cannot grow unboundedly under a front-end that never drains
-//! it.
+//! responses to long-polling and streaming clients. Jobs are only ever
+//! submitted through a running reactor, so every queued event has a
+//! drainer.
 
+use std::io::Write as _;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -27,11 +27,8 @@ struct Inner {
     events: Mutex<Vec<u64>>,
     /// Set once by [`Notifier::shutdown`]; the reactor drains and exits.
     shutdown: AtomicBool,
-    /// Whether a reactor is attached and draining the queue.
-    active: AtomicBool,
     /// The write end of the reactor's wakeup pipe.
-    #[cfg(unix)]
-    wake: Mutex<Option<std::os::unix::net::UnixStream>>,
+    wake: Mutex<Option<UnixStream>>,
 }
 
 impl Default for Notifier {
@@ -41,32 +38,26 @@ impl Default for Notifier {
 }
 
 impl Notifier {
-    /// A notifier with no reactor attached (events are dropped).
+    /// A notifier with no reactor attached yet: events queue without a
+    /// wakeup until the reactor installs its pipe on start.
     pub fn new() -> Self {
         Notifier {
             inner: Arc::new(Inner {
                 events: Mutex::new(Vec::new()),
                 shutdown: AtomicBool::new(false),
-                active: AtomicBool::new(false),
-                #[cfg(unix)]
                 wake: Mutex::new(None),
             }),
         }
     }
 
-    /// Attaches the reactor: events queue from now on, and each queues a
-    /// wakeup byte on `wake_tx` (which must be nonblocking).
-    #[cfg(unix)]
-    pub(crate) fn activate(&self, wake_tx: std::os::unix::net::UnixStream) {
+    /// Attaches the reactor: each event from now on queues a wakeup byte
+    /// on `wake_tx` (which must be nonblocking).
+    pub(crate) fn activate(&self, wake_tx: UnixStream) {
         *self.inner.wake.lock().expect("wake lock") = Some(wake_tx);
-        self.inner.active.store(true, Ordering::Release);
     }
 
     /// Announces one finished job. Called from engine sink threads.
     pub fn job_done(&self, id: u64) {
-        if !self.inner.active.load(Ordering::Acquire) {
-            return;
-        }
         self.inner.events.lock().expect("event queue lock").push(id);
         self.wake();
     }
@@ -91,12 +82,8 @@ impl Notifier {
     /// Writes one wakeup byte; a full pipe means a wakeup is already
     /// pending, so `WouldBlock` (and any other failure) is ignored.
     fn wake(&self) {
-        #[cfg(unix)]
-        {
-            use std::io::Write as _;
-            if let Some(s) = &*self.inner.wake.lock().expect("wake lock") {
-                let _ = (&*s).write(&[1]);
-            }
+        if let Some(s) = &*self.inner.wake.lock().expect("wake lock") {
+            let _ = (&*s).write(&[1]);
         }
     }
 }

@@ -8,8 +8,6 @@
 //! registration state to keep in sync the way epoll would require, and a
 //! few hundred descriptors per scan is well inside its comfort zone.
 
-#![cfg(unix)]
-
 use std::io;
 use std::os::fd::RawFd;
 use std::os::raw::{c_int, c_ulong};

@@ -27,8 +27,6 @@
 //! completion, and the loop exits once the last socket closes (or the
 //! drain deadline, one [`SOCKET_TIMEOUT`], expires).
 
-#![cfg(unix)]
-
 use crate::conn::{Request, RequestParser, WriteBuf};
 use crate::http::{
     chunk_frame, error_body, job_frame, job_ids_body, job_response, record_http, render_response,
@@ -358,7 +356,7 @@ impl Reactor {
         if conn.read_closed {
             // No more requests will ever arrive; whatever is in flight
             // (response drain, park, stream) finishes, then the socket
-            // closes. EOF mid-request gets the blocking reader's answer.
+            // closes. EOF mid-request is answered `400` before closing.
             conn.close_after_write = true;
             if matches!(conn.mode, Mode::Idle) && conn.parser.mid_request() && conn.out.is_empty() {
                 record_http("other", 400, 0.0);
@@ -411,7 +409,7 @@ impl Reactor {
         let inflight = tetris_obs::global().gauge("tetris_http_inflight", &[]);
         inflight.inc();
         let started = Instant::now();
-        let outcome = route(&request, &self.state, true);
+        let outcome = route(&request, &self.state);
         let Some(conn) = self.conns[slot].as_mut() else {
             inflight.dec();
             return;

@@ -1,6 +1,6 @@
 //! Live-TCP tests for the reactor front-end: long-polling, result
 //! streaming, admission control, the amortized TTL sweep, and graceful
-//! drain — everything the blocking front-end could not do.
+//! drain — everything that needs the server to hold a socket open.
 //!
 //! All clients here are raw `TcpStream`s speaking HTTP/1.1 by hand, so
 //! the tests see exact bytes: chunked frames are decoded chunk by chunk

@@ -30,12 +30,27 @@ fn usage() -> ExitCode {
   tetris serve   [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--cache-capacity N]
                  [--cache-max-bytes B] [--job-ttl-secs S] [--trace-log FILE]
                  [--max-connections N] [--max-inflight N]
-                 [--wait-timeout-ms MS] [--blocking-front-end]
+                 [--wait-timeout-ms MS]
 
 molecules: LiH BeH2 CH4 MgH2 LiCl CO2"
     );
     ExitCode::FAILURE
 }
+
+/// Every flag `tetris serve` accepts (each takes a value) — the ones its
+/// usage line lists.
+const SERVE_FLAGS: [&str; 10] = [
+    "--addr",
+    "--threads",
+    "--cache-dir",
+    "--cache-capacity",
+    "--cache-max-bytes",
+    "--job-ttl-secs",
+    "--trace-log",
+    "--max-connections",
+    "--max-inflight",
+    "--wait-timeout-ms",
+];
 
 struct Args(Vec<String>);
 
@@ -50,6 +65,20 @@ impl Args {
             .position(|a| a == name)
             .and_then(|i| self.0.get(i + 1))
             .map(|s| s.as_str())
+    }
+
+    /// The first `--flag` after the subcommand that is not in `known`
+    /// (whose flags each take a value, skipped over).
+    fn unknown_flag(&self, known: &[&str]) -> Option<&str> {
+        let mut rest = self.0.iter().skip(1);
+        while let Some(arg) = rest.next() {
+            if known.contains(&arg.as_str()) {
+                rest.next();
+            } else if arg.starts_with("--") {
+                return Some(arg);
+            }
+        }
+        None
     }
 }
 
@@ -206,8 +235,8 @@ fn cmd_compare(args: &Args) -> Option<ExitCode> {
 /// disabled vs enabled) plus per-stage wall-time aggregates. With
 /// `--connections [N]` (default 400) the report gains a `"connections"`
 /// section stress-testing the reactor front-end with N concurrent
-/// long-poll + streaming clients against the thread-per-connection
-/// baseline at N/4.
+/// long-poll + streaming clients, its digests checked against direct
+/// compiles and its wall reported over one direct anchor compile.
 fn cmd_bench_suite(args: &Args) -> Option<ExitCode> {
     use std::sync::Arc;
     use std::time::Instant;
@@ -316,11 +345,16 @@ fn cmd_bench_suite(args: &Args) -> Option<ExitCode> {
 /// `--max-connections` caps live sockets and `--max-inflight` caps queued
 /// jobs (both shed with `503 + Retry-After` past the cap);
 /// `--wait-timeout-ms` bounds long-poll parks (`GET /job/<id>?wait=1`).
-/// `--blocking-front-end` serves thread-per-connection instead of the
-/// reactor (the bench baseline; also the default off unix).
+/// Any other `--flag` is refused with the usage text, so a typo never
+/// starts a server with a default in its place.
 fn cmd_serve(args: &Args) -> Option<ExitCode> {
     use tetris::engine::EngineConfig;
-    use tetris::server::{CompileServer, FrontEnd, ServerConfig};
+    use tetris::server::{CompileServer, ServerConfig};
+
+    if let Some(flag) = args.unknown_flag(&SERVE_FLAGS) {
+        eprintln!("tetris serve: unknown flag `{flag}`");
+        return None;
+    }
 
     let addr = args.value("--addr").unwrap_or("127.0.0.1:7421");
     let threads: usize = args
@@ -355,9 +389,6 @@ fn cmd_serve(args: &Args) -> Option<ExitCode> {
     if let Some(ms) = args.value("--wait-timeout-ms").and_then(|v| v.parse().ok()) {
         server_config.wait_timeout = std::time::Duration::from_millis(ms);
     }
-    if args.flag("--blocking-front-end") {
-        server_config.front_end = FrontEnd::Blocking;
-    }
     match CompileServer::bind_with(addr, config, server_config) {
         Ok(server) => {
             println!("listening on http://{}", server.local_addr());
@@ -385,4 +416,40 @@ fn main() -> ExitCode {
         _ => None,
     };
     result.unwrap_or_else(usage)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Args {
+        Args(line.split_whitespace().map(String::from).collect())
+    }
+
+    #[test]
+    fn serve_refuses_flags_outside_its_usage() {
+        let typo = args("serve --addr 127.0.0.1:99999 --max-inflght 1");
+        assert_eq!(typo.unknown_flag(&SERVE_FLAGS), Some("--max-inflght"));
+        // Refused before binding: `None` makes `main` print the usage and
+        // exit non-zero (the out-of-range port would otherwise fail the
+        // bind with `Some(FAILURE)`, never serve).
+        assert!(cmd_serve(&typo).is_none());
+        let removed = args("serve --addr 127.0.0.1:99999 --blocking-front-end");
+        assert_eq!(
+            removed.unknown_flag(&SERVE_FLAGS),
+            Some("--blocking-front-end")
+        );
+        assert!(cmd_serve(&removed).is_none());
+        // Every listed flag passes, values included — even a value that
+        // looks like a flag.
+        let all = SERVE_FLAGS
+            .iter()
+            .map(|f| format!("{f} --v"))
+            .collect::<Vec<_>>()
+            .join(" ");
+        assert_eq!(
+            args(&format!("serve {all}")).unknown_flag(&SERVE_FLAGS),
+            None
+        );
+    }
 }
