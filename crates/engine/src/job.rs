@@ -20,6 +20,10 @@ pub struct CompileJob {
     pub hamiltonian: Arc<Hamiltonian>,
     /// The target device.
     pub graph: Arc<CouplingGraph>,
+    /// `(hamiltonian, graph)` fingerprints supplied by
+    /// [`with_fingerprints`](CompileJob::with_fingerprints); `None` means
+    /// they are hashed from the inputs on demand.
+    fingerprints: Option<(u64, u64)>,
 }
 
 impl CompileJob {
@@ -35,6 +39,39 @@ impl CompileJob {
             backend,
             hamiltonian,
             graph,
+            fingerprints: None,
+        }
+    }
+
+    /// [`new`](CompileJob::new) for inputs whose fingerprints are already
+    /// known — the server's name memo computes each once per build. The
+    /// job carries them, so [`cache_key`](CompileJob::cache_key) and the
+    /// region scheduler's resident key never re-hash the Hamiltonian or the
+    /// device. Each fingerprint must be its input's own (checked in debug
+    /// builds); reassigning `hamiltonian` or `graph` afterwards needs a
+    /// fresh constructor call.
+    pub fn with_fingerprints(
+        name: impl Into<String>,
+        backend: Backend,
+        (hamiltonian, hamiltonian_fp): (Arc<Hamiltonian>, u64),
+        (graph, graph_fp): (Arc<CouplingGraph>, u64),
+    ) -> Self {
+        CompileJob {
+            fingerprints: Some((hamiltonian_fp, graph_fp)),
+            ..CompileJob::new(name, backend, hamiltonian, graph)
+        }
+    }
+
+    /// The `(hamiltonian, graph)` content fingerprints: the carried pair
+    /// when there is one, else hashed from the inputs.
+    pub(crate) fn content_fingerprints(&self) -> (u64, u64) {
+        let hashed = || (self.hamiltonian.fingerprint(), self.graph.fingerprint());
+        match self.fingerprints {
+            Some(carried) => {
+                debug_assert_eq!(carried, hashed(), "stale carried fingerprints");
+                carried
+            }
+            None => hashed(),
         }
     }
 
@@ -45,10 +82,11 @@ impl CompileJob {
     /// result cache needs. The job [`name`](CompileJob::name) is excluded —
     /// renaming a workload still hits.
     pub fn cache_key(&self) -> u64 {
+        let (hamiltonian, graph) = self.content_fingerprints();
         let mut h = Fingerprint64::new();
         h.write_bytes(b"tetris-job/v1");
-        h.write_u64(self.hamiltonian.fingerprint());
-        h.write_u64(self.graph.fingerprint());
+        h.write_u64(hamiltonian);
+        h.write_u64(graph);
         h.write_u64(self.backend.fingerprint());
         h.finish()
     }
@@ -138,7 +176,17 @@ mod tests {
         );
         assert_ne!(a.cache_key(), d.cache_key(), "device must rekey");
 
-        let e = CompileJob::new("a", Backend::MaxCancel, ham("x", "XYZ"), graph);
+        let e = CompileJob::new("a", Backend::MaxCancel, ham("x", "XYZ"), graph.clone());
         assert_ne!(a.cache_key(), e.cache_key(), "backend must rekey");
+
+        let h = ham("x", "XYZ");
+        let fps = (h.fingerprint(), graph.fingerprint());
+        let carried = CompileJob::with_fingerprints("a", backend, (h, fps.0), (graph, fps.1));
+        assert_eq!(carried.content_fingerprints(), fps);
+        assert_eq!(
+            carried.cache_key(),
+            a.cache_key(),
+            "carried fingerprints key alike"
+        );
     }
 }

@@ -1,14 +1,18 @@
 //! The fixed worker pool.
 //!
-//! `Engine::new` spawns N OS threads that live for the engine's lifetime
-//! and pull work from a single `mpsc` queue (shared behind a mutex — the
-//! classic std-only job-queue shape). `compile_batch` fans a batch out to
-//! the queue and reassembles the answers in submission order; each worker
-//! consults the shared [`ResultCache`] before touching a compiler.
+//! `Engine::new` spawns N named OS threads (`tetris-worker-<i>`) that live
+//! for the engine's lifetime and pull work from a single `mpsc` queue
+//! (shared behind a mutex — the classic std-only job-queue shape). Each
+//! worker consults the shared [`ResultCache`] before touching a compiler,
+//! then hands the result to its batch's sink itself, followed by any
+//! in-batch duplicates of that job, so submitting a batch spawns no
+//! thread. `compile_batch` is a sink that reassembles the answers in
+//! submission order.
 
 use crate::backend::{CompileBackend, EngineOutput};
 use crate::cache::{CacheStats, ResultCache};
 use crate::job::{CompileJob, JobResult};
+use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -47,14 +51,20 @@ impl Default for EngineConfig {
     }
 }
 
+/// Where a batch's results go: the caller's `on_result`, shared by the
+/// batch's work items and called on whichever worker finishes each job.
+type Sink = Arc<dyn Fn(JobResult) + Send + Sync>;
+
 struct WorkItem {
     index: usize,
-    /// Precomputed [`CompileJob::cache_key`] — fingerprinting hashes the
-    /// full Hamiltonian content, so it is computed once at submission and
-    /// carried along rather than recomputed in the worker.
+    /// [`CompileJob::cache_key`], computed once at submission (where it
+    /// also coalesces duplicates) and carried to the worker.
     key: u64,
     job: CompileJob,
-    reply: Sender<JobResult>,
+    /// Later jobs of the same batch with this key, as `(index, job)`: the
+    /// worker resolves them right after this job, usually as cache hits.
+    duplicates: Vec<(usize, CompileJob)>,
+    sink: Sink,
     /// Submission instant — the worker's dequeue time minus this is the
     /// job's [`Stage::QueueWait`].
     submitted_at: Instant,
@@ -134,6 +144,41 @@ fn run_guarded(job: &CompileJob) -> Result<EngineOutput, String> {
             .unwrap_or("backend panicked")
             .to_string()
     })
+}
+
+/// Answers one job: [`execute`] plus the [`JobResult`] around it, recorded
+/// into the engine's metrics. Engine wall starts now; a work item's
+/// `submitted_at` adds its queue wait (duplicates have none).
+fn answer(
+    index: usize,
+    job: CompileJob,
+    key: u64,
+    cache: &ResultCache,
+    metrics: &PoolMetrics,
+    submitted_at: Option<Instant>,
+) -> JobResult {
+    let t0 = Instant::now();
+    // Failures are reported, not cached: a panic may be environmental,
+    // and a placeholder must never satisfy a later lookup of the same
+    // content. `execute` upholds this.
+    let (output, cached, error, mut stages) = execute(&job, key, cache);
+    if let (Some(at), true) = (submitted_at, tetris_obs::enabled()) {
+        stages.add(Stage::QueueWait, t0.duration_since(at).as_secs_f64());
+    }
+    let result = JobResult {
+        index,
+        compiler: job.backend.name().to_string(),
+        name: job.name,
+        cache_key: key,
+        cached,
+        engine_seconds: t0.elapsed().as_secs_f64(),
+        error,
+        region: None,
+        stages,
+        output,
+    };
+    metrics.observe(&result);
+    result
 }
 
 /// The placeholder output attached to a failed job so [`JobResult`] keeps a
@@ -248,11 +293,14 @@ impl Engine {
         let (tx, rx) = channel::<WorkItem>();
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..threads)
-            .map(|_| {
+            .map(|i| {
                 let rx = Arc::clone(&rx);
                 let cache = Arc::clone(&cache);
                 let metrics = Arc::clone(&metrics);
-                std::thread::spawn(move || worker_loop(&rx, &cache, &metrics))
+                std::thread::Builder::new()
+                    .name(format!("tetris-worker-{i}"))
+                    .spawn(move || worker_loop(&rx, &cache, &metrics))
+                    .expect("spawn engine worker")
             })
             .collect();
         Engine {
@@ -300,87 +348,46 @@ impl Engine {
     /// long-polling and streaming clients hear about a job the moment its
     /// worker finishes — no polling round-trips.
     ///
-    /// Semantics match [`compile_batch`](Engine::compile_batch) (which is
-    /// built on this): duplicate jobs inside the batch (equal
-    /// [`CompileJob::cache_key`]) are coalesced — the first occurrence
-    /// compiles on the pool, and each duplicate is resolved as a cache hit
-    /// immediately after its primary lands, on the collector thread.
-    /// [`JobResult::index`] carries the job's position in the submitted
-    /// batch, so a sink can reassemble submission order.
+    /// `on_result` runs on the pool worker that finished the job, so
+    /// submitting spawns no thread; it must be quick and must not wait on
+    /// this engine's pool. Duplicate jobs inside the batch (equal
+    /// [`CompileJob::cache_key`]) are coalesced: the first occurrence
+    /// compiles on the pool, and the worker that finishes it resolves
+    /// each duplicate right after delivering it — a cache hit, or a
+    /// compile in place when the cache did not keep the primary (capacity
+    /// 0, eviction, or a failed primary). [`JobResult::index`] carries the
+    /// job's position in the submitted batch, so a sink can reassemble
+    /// submission order.
     pub fn submit_batch<F>(&self, jobs: Vec<CompileJob>, on_result: F)
     where
-        F: Fn(JobResult) + Send + 'static,
+        F: Fn(JobResult) + Send + Sync + 'static,
     {
-        if jobs.is_empty() {
-            return;
-        }
-        let queue = self
-            .queue
-            .as_ref()
-            .expect("engine queue alive until drop")
-            .clone();
-        let (reply_tx, reply_rx) = channel::<JobResult>();
-
-        // Coalesce duplicates: first occurrence of each key is submitted,
-        // later ones are resolved from the cache as soon as it lands.
-        let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut dups_by_key: std::collections::HashMap<u64, Vec<(usize, CompileJob)>> =
-            std::collections::HashMap::new();
-        let mut submitted = 0usize;
+        let queue = self.queue.as_ref().expect("engine queue alive until drop");
+        let sink: Sink = Arc::new(on_result);
+        // Plan the whole batch before sending anything: a worker may
+        // finish a primary at once, and must find all its duplicates.
+        let mut items: Vec<WorkItem> = Vec::new();
+        let mut primary: HashMap<u64, usize> = HashMap::new();
         for (index, job) in jobs.into_iter().enumerate() {
             let key = job.cache_key();
-            if seen.insert(key) {
-                queue
-                    .send(WorkItem {
+            match primary.get(&key) {
+                Some(&slot) => items[slot].duplicates.push((index, job)),
+                None => {
+                    primary.insert(key, items.len());
+                    items.push(WorkItem {
                         index,
                         key,
                         job,
-                        reply: reply_tx.clone(),
+                        duplicates: Vec::new(),
+                        sink: Arc::clone(&sink),
                         submitted_at: Instant::now(),
-                    })
-                    .expect("workers alive until drop");
-                submitted += 1;
-            } else {
-                dups_by_key.entry(key).or_default().push((index, job));
-            }
-        }
-        drop(reply_tx);
-
-        let cache = Arc::clone(&self.cache);
-        let metrics = Arc::clone(&self.metrics);
-        std::thread::spawn(move || {
-            for _ in 0..submitted {
-                let Ok(r) = reply_rx.recv() else {
-                    return; // engine dropped mid-batch
-                };
-                let key = r.cache_key;
-                on_result(r);
-                // Every duplicate's primary was submitted, so draining the
-                // map here resolves all of them by the time the loop ends.
-                // Usually a straight cache hit; when the cache was too
-                // small to retain the primary (or capacity 0, or the
-                // primary failed), `execute` falls back to compiling in
-                // place.
-                for (index, job) in dups_by_key.remove(&key).unwrap_or_default() {
-                    let t0 = Instant::now();
-                    let (output, cached, error, stages) = execute(&job, key, &cache);
-                    let result = JobResult {
-                        index,
-                        name: job.name,
-                        compiler: job.backend.name().to_string(),
-                        cache_key: key,
-                        cached,
-                        engine_seconds: t0.elapsed().as_secs_f64(),
-                        error,
-                        region: None,
-                        stages,
-                        output,
-                    };
-                    metrics.observe(&result);
-                    on_result(result);
+                    });
                 }
             }
-        });
+        }
+        for item in items {
+            queue.send(item).expect("workers alive until drop");
+        }
     }
 
     /// Compiles a batch, returning one [`JobResult`] per job in submission
@@ -402,7 +409,7 @@ impl Engine {
         });
         let mut slots: Vec<Option<JobResult>> = (0..total).map(|_| None).collect();
         for _ in 0..total {
-            let r = rx.recv().expect("collector delivers every job");
+            let r = rx.recv().expect("the pool delivers every job");
             let index = r.index;
             slots[index] = Some(r);
         }
@@ -430,33 +437,18 @@ fn worker_loop(rx: &Mutex<Receiver<WorkItem>>, cache: &ResultCache, metrics: &Po
             Ok(item) => item,
             Err(_) => return, // engine dropped
         };
-        let t0 = Instant::now();
-        let key = item.key;
-        // Failures are reported, not cached: a panic may be environmental,
-        // and a placeholder must never satisfy a later lookup of the same
-        // content. `execute` upholds this.
-        let (output, cached, error, mut stages) = execute(&item.job, key, cache);
-        if tetris_obs::enabled() {
-            stages.add(
-                Stage::QueueWait,
-                t0.duration_since(item.submitted_at).as_secs_f64(),
-            );
+        let WorkItem {
+            index,
+            key,
+            job,
+            duplicates,
+            sink,
+            submitted_at,
+        } = item;
+        sink(answer(index, job, key, cache, metrics, Some(submitted_at)));
+        for (index, job) in duplicates {
+            sink(answer(index, job, key, cache, metrics, None));
         }
-        let result = JobResult {
-            index: item.index,
-            name: item.job.name,
-            compiler: item.job.backend.name().to_string(),
-            cache_key: key,
-            cached,
-            engine_seconds: t0.elapsed().as_secs_f64(),
-            error,
-            region: None,
-            stages,
-            output,
-        };
-        metrics.observe(&result);
-        // The batch may have been abandoned; dropping the result is fine.
-        let _ = item.reply.send(result);
     }
 }
 
@@ -614,6 +606,57 @@ mod tests {
         }
         // The duplicates were coalesced into cache hits.
         assert!(results[5].cached && results[6].cached);
+    }
+
+    #[test]
+    fn submit_batch_delivers_on_named_pool_workers() {
+        let engine = Engine::new(EngineConfig {
+            threads: 2,
+            cache_capacity: 64,
+            cache_dir: None,
+            cache_max_bytes: None,
+        });
+        // Two primaries with in-batch duplicates, plus a failing primary
+        // whose duplicate falls back to compiling in place.
+        let wide = || {
+            CompileJob::new(
+                "too-wide",
+                Backend::Tetris(TetrisConfig::default()),
+                Arc::new(Hamiltonian::new(
+                    5,
+                    vec![PauliBlock::new(
+                        vec![PauliTerm::new("ZZZZZ".parse().unwrap(), 1.0)],
+                        0.3,
+                        "b",
+                    )],
+                    "wide",
+                )),
+                Arc::new(CouplingGraph::line(3)),
+            )
+        };
+        let mut jobs = toy_jobs(2);
+        jobs.extend(toy_jobs(2));
+        jobs.push(wide());
+        jobs.push(wide());
+        let total = jobs.len();
+        let (tx, rx) = std::sync::mpsc::channel();
+        engine.submit_batch(jobs, move |r| {
+            let thread = std::thread::current().name().map(str::to_string);
+            let _ = tx.send((r.index, r.error.is_some(), thread));
+        });
+        let mut seen: Vec<(usize, bool, Option<String>)> =
+            (0..total).map(|_| rx.recv().expect("result")).collect();
+        assert!(rx.recv().is_err(), "exactly one callback per job");
+        seen.sort();
+        for (i, (index, failed, thread)) in seen.iter().enumerate() {
+            assert_eq!(*index, i, "every index delivered once");
+            assert_eq!(*failed, i >= 4, "only the wide jobs fail");
+            let thread = thread.as_deref().unwrap_or("<unnamed>");
+            assert!(
+                thread.starts_with("tetris-worker-"),
+                "job {i} delivered on `{thread}`, not a pool worker"
+            );
+        }
     }
 
     #[test]

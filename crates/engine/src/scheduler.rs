@@ -311,13 +311,15 @@ struct PendingJob {
 /// graph and region fingerprints — the latter two fully determine the
 /// induced subgraph, so the warm path derives the key without ever
 /// materializing the induced graph (that construction is deferred to the
-/// cache-miss arm of [`RegionScheduler::compile_wave`]).
+/// cache-miss arm of [`RegionScheduler::compile_wave`]). The workload and
+/// device fingerprints are the job's carried ones when it has them.
 fn resident_key(job: &CompileJob, region: &Region) -> u64 {
+    let (hamiltonian, graph) = job.content_fingerprints();
     let mut h = Fingerprint64::new();
     h.write_bytes(b"tetris-resident/v1");
-    h.write_u64(job.hamiltonian.fingerprint());
+    h.write_u64(hamiltonian);
     h.write_u64(job.backend.fingerprint());
-    h.write_u64(job.graph.fingerprint());
+    h.write_u64(graph);
     h.write_u64(region.fingerprint());
     h.finish()
 }
@@ -417,9 +419,9 @@ impl RegionScheduler {
             .collect()
     }
 
-    /// The shared state for `graph`, created on first sight.
-    fn device(&self, graph: &Arc<CouplingGraph>) -> Arc<DeviceShared> {
-        let fp = graph.fingerprint();
+    /// The shared state for `graph` (fingerprint `fp`), created on first
+    /// sight.
+    fn device(&self, graph: &Arc<CouplingGraph>, fp: u64) -> Arc<DeviceShared> {
         let mut devices = self.devices.lock().expect("device table lock");
         if let Some((_, shared)) = devices.iter().find(|(f, _)| *f == fp) {
             return Arc::clone(shared);
@@ -446,7 +448,7 @@ impl RegionScheduler {
         // Group by device identity, first-seen order.
         let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
         for (i, job) in jobs.iter().enumerate() {
-            let fp = job.graph.fingerprint();
+            let fp = job.content_fingerprints().1;
             match groups.iter_mut().find(|(gfp, _)| *gfp == fp) {
                 Some((_, members)) => members.push(i),
                 None => groups.push((fp, vec![i])),
@@ -455,8 +457,8 @@ impl RegionScheduler {
 
         let mut slots: Vec<Option<JobResult>> = (0..jobs.len()).map(|_| None).collect();
         let mut report = ResidentReport::default();
-        for (_, indices) in groups {
-            let shared = self.device(&jobs[indices[0]].graph);
+        for (fp, indices) in groups {
+            let shared = self.device(&jobs[indices[0]].graph, fp);
             self.schedule_group(engine, &jobs, &indices, &shared, &mut slots, &mut report);
         }
         let results = slots
@@ -788,11 +790,12 @@ impl RegionScheduler {
                 }
                 None => {
                     let induced = Arc::new(graph.induced(region));
-                    sub_jobs.push(CompileJob::new(
+                    let induced_fp = induced.fingerprint();
+                    sub_jobs.push(CompileJob::with_fingerprints(
                         job.name.clone(),
                         job.backend,
-                        job.hamiltonian.clone(),
-                        induced,
+                        (job.hamiltonian.clone(), job.content_fingerprints().0),
+                        (induced, induced_fp),
                     ));
                     origin.push((*index, Some((region.clone(), rkey))));
                 }

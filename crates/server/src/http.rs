@@ -14,10 +14,14 @@
 //!   "device": …}, …], "resident": bool, "stream": bool}`; every spec is
 //!   validated against the [`crate::registry`] before anything is
 //!   enqueued (one bad spec fails the whole batch with `400`, nothing
-//!   half-submitted). With `"resident": true` the batch routes through
-//!   the process-wide [`RegionScheduler`]: compatible jobs are packed
-//!   onto disjoint regions of their device and each result's `region`
-//!   field lists the physical qubits it occupies; regions carved for it
+//!   half-submitted). Workloads and devices come from the server's name
+//!   memo ([`Interner`]), which lives as long as the server: a resubmitted
+//!   name is one hash lookup, and its jobs carry the memoized
+//!   fingerprints, so the engine never re-hashes the Hamiltonian. With
+//!   `"resident": true` the batch routes through the process-wide
+//!   [`RegionScheduler`]: compatible jobs are packed onto disjoint
+//!   regions of their device and each result's `region` field lists the
+//!   physical qubits it occupies; regions carved for it
 //!   stay alive for the next batch, repeat-shape traffic is served from
 //!   the free-list and the resident artifact cache without carving, and
 //!   contended regions queue jobs FIFO rather than failing over
@@ -39,14 +43,18 @@
 //!   compiled (results are cached) but never re-enters the table.
 //! * `GET /healthz` — cheap liveness: `{"inflight": …, "connections": …}`
 //!   from two atomics, no engine or cache locks, for load balancers.
-//! * `GET /stats` — engine sizing, per-tier cache counters and job counts.
+//! * `GET /stats` — engine sizing, per-tier cache counters, job counts and
+//!   the name memo's counters (`registry`: hits, builds, evictions, terms).
 //! * `GET /metrics` — Prometheus text exposition of the process-wide
-//!   registry (engine counters, per-stage histograms, HTTP series, and
-//!   the front-end's connection/backpressure series:
+//!   registry (engine counters, per-stage histograms, HTTP series, the
+//!   front-end's connection/backpressure series:
 //!   `tetris_http_connections`, `tetris_http_accepted_total`,
-//!   `tetris_http_shed_total{reason}`, `tetris_longpoll_waiters`), with
-//!   cache and job-table series synced from the same snapshot `/stats`
-//!   reads, so the two views agree at scrape time.
+//!   `tetris_http_shed_total{reason}`, `tetris_longpoll_waiters`, the
+//!   process's `tetris_threads`, and the memo's
+//!   `tetris_registry_memo_{hits,builds,evictions}_total` and
+//!   `tetris_registry_memo_terms`), with cache, memo and job-table series
+//!   synced from the same snapshot `/stats` reads, so the two views agree
+//!   at scrape time.
 //! * `GET /job/<id>?trace=1` — adds the job's per-stage wall-time
 //!   timeline to the result record.
 //! * `GET /trace` — the most recent completed jobs from the in-process
@@ -58,7 +66,9 @@
 //!
 //! Admission control: a batch that would push in-flight jobs past
 //! [`ServerConfig::max_inflight`] is shed with `503` + `Retry-After: 1`
-//! before anything is enqueued, and connections past
+//! before anything is enqueued — checked once before any registry build,
+//! so an oversized batch costs no construction, and again atomically when
+//! the slots are claimed — and connections past
 //! [`ServerConfig::max_connections`] are answered `503` and closed at
 //! accept time. Both shed paths count into
 //! `tetris_http_shed_total{reason=…}`.
@@ -79,7 +89,7 @@
 use crate::conn::Request;
 use crate::json::{escape, parse, Value};
 use crate::notify::Notifier;
-use crate::registry::Interner;
+use crate::registry::{Interner, MemoStats};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
@@ -172,6 +182,9 @@ pub struct AppState {
     pub(crate) shed_inflight: AtomicU64,
     /// Requests currently parked in a long-poll.
     pub(crate) longpoll_waiters: AtomicU64,
+    /// The name memo: every workload and device a batch names, built once
+    /// per server and shared by later batches.
+    registry: Mutex<Interner>,
 }
 
 impl AppState {
@@ -190,12 +203,18 @@ impl AppState {
             shed_connections: AtomicU64::new(0),
             shed_inflight: AtomicU64::new(0),
             longpoll_waiters: AtomicU64::new(0),
+            registry: Mutex::new(Interner::new()),
         }
     }
 
     /// The engine (for tests and the CLI to inspect counters).
     pub fn engine(&self) -> &Engine {
         &self.engine
+    }
+
+    /// The name memo's counters (the `registry` object of `GET /stats`).
+    pub fn registry_stats(&self) -> MemoStats {
+        self.registry.lock().expect("registry lock").stats()
     }
 
     /// The resident-region scheduler (for tests to inspect counters).
@@ -567,9 +586,16 @@ fn post_batch(state: &Arc<AppState>, body: &[u8]) -> Outcome {
         return Outcome::ready(400, error_body("`stream` must be a boolean"));
     };
 
+    // Shed a batch that cannot fit before paying for any registry build;
+    // the atomic claim below stays authoritative.
+    let n = specs.len() as u64;
+    if state.inflight_jobs.load(Ordering::Acquire) + n > state.config.max_inflight as u64 {
+        return shed_inflight(state);
+    }
+
     // Validate and build everything before touching the job table: a batch
     // either enqueues whole or not at all.
-    let mut interner = Interner::new();
+    let mut registry = state.registry.lock().expect("registry lock");
     let mut jobs = Vec::with_capacity(specs.len());
     for (i, spec) in specs.iter().enumerate() {
         let field = |key: &str| spec.get(key).and_then(Value::as_str);
@@ -587,32 +613,28 @@ fn post_batch(state: &Arc<AppState>, body: &[u8]) -> Outcome {
                 error_body(&format!("job {i}: unknown backend `{backend_name}`")),
             );
         };
-        let Some(graph) = interner.device(device_name) else {
+        let Some(graph) = registry.device_entry(device_name) else {
             return Outcome::ready(
                 400,
                 error_body(&format!("job {i}: unknown device `{device_name}`")),
             );
         };
-        let Some(ham) = interner.workload(workload) else {
+        let Some(ham) = registry.workload_entry(workload) else {
             return Outcome::ready(
                 400,
                 error_body(&format!("job {i}: unknown workload `{workload}`")),
             );
         };
-        jobs.push(CompileJob::new(workload, backend, ham, graph));
+        jobs.push(CompileJob::with_fingerprints(workload, backend, ham, graph));
     }
+    drop(registry);
 
     // Admission control: claim in-flight slots for the whole batch or shed
     // it whole before anything is enqueued.
-    let n = jobs.len() as u64;
     let claimed = state.inflight_jobs.fetch_add(n, Ordering::AcqRel) + n;
     if claimed > state.config.max_inflight as u64 {
         state.inflight_jobs.fetch_sub(n, Ordering::AcqRel);
-        state.shed_inflight.fetch_add(1, Ordering::Relaxed);
-        return Outcome::ready(
-            503,
-            error_body("server at capacity: too many in-flight jobs"),
-        );
+        return shed_inflight(state);
     }
 
     // Reserve ids and record pending rows (no sweep here — this is a hot
@@ -700,6 +722,15 @@ fn post_batch(state: &Arc<AppState>, body: &[u8]) -> Outcome {
     } else {
         Outcome::ready(200, job_ids_body(&ids))
     }
+}
+
+/// The `503` of a batch shed at [`ServerConfig::max_inflight`].
+fn shed_inflight(state: &AppState) -> Outcome {
+    state.shed_inflight.fetch_add(1, Ordering::Relaxed);
+    Outcome::ready(
+        503,
+        error_body("server at capacity: too many in-flight jobs"),
+    )
 }
 
 /// The `{"job_ids": …}` acknowledgment — a plain batch's whole response,
@@ -902,6 +933,7 @@ fn healthz_body(state: &AppState) -> String {
 fn stats_body(state: &AppState) -> String {
     let c = state.engine.cache_stats();
     let s = state.scheduler.stats();
+    let m = state.registry_stats();
     let mut table = state.jobs.lock().expect("job table lock");
     state.sweep_expired(&mut table);
     let pending = table
@@ -918,7 +950,8 @@ fn stats_body(state: &AppState) -> String {
          \"scheduler\": {{ \"carves_performed\": {}, \"carves_skipped\": {}, \
          \"carve_skip_ratio\": {:.4}, \"defrags\": {}, \"displaced\": {}, \
          \"regions_released\": {}, \"resident_regions\": {}, \
-         \"resident_qubits\": {}, \"queue_depth\": {} }} }}\n",
+         \"resident_qubits\": {}, \"queue_depth\": {} }}, \
+         \"registry\": {{ \"hits\": {}, \"builds\": {}, \"evictions\": {}, \"terms\": {} }} }}\n",
         state.engine.threads(),
         table.len(),
         state.expired_total.load(Ordering::Relaxed),
@@ -943,7 +976,20 @@ fn stats_body(state: &AppState) -> String {
         s.resident_regions,
         s.resident_qubits,
         s.queue_depth,
+        m.hits,
+        m.builds,
+        m.evictions,
+        m.terms,
     )
+}
+
+/// The process's OS thread count, from `/proc/self/status`.
+fn os_threads() -> Option<i64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
 }
 
 /// `GET /metrics`: Prometheus text exposition of the process registry.
@@ -1012,6 +1058,18 @@ fn metrics_body(state: &AppState) -> String {
         .set(state.shed_inflight.load(Ordering::Relaxed));
     g.gauge("tetris_longpoll_waiters", &[])
         .set(state.longpoll_waiters.load(Ordering::Relaxed) as i64);
+    if let Some(threads) = os_threads() {
+        g.gauge("tetris_threads", &[]).set(threads);
+    }
+    let m = state.registry_stats();
+    g.counter("tetris_registry_memo_hits_total", &[])
+        .set(m.hits);
+    g.counter("tetris_registry_memo_builds_total", &[])
+        .set(m.builds);
+    g.counter("tetris_registry_memo_evictions_total", &[])
+        .set(m.evictions);
+    g.gauge("tetris_registry_memo_terms", &[])
+        .set(m.terms as i64);
     g.gauge("tetris_server_jobs_inflight", &[])
         .set(state.inflight_jobs.load(Ordering::Relaxed) as i64);
     let (jobs_total, pending) = {

@@ -6,6 +6,7 @@
 //! deterministic — the same name always builds the same content, so the
 //! engine's content-addressed cache works across clients and restarts.
 
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use tetris_baselines::generic;
 use tetris_core::TetrisConfig;
@@ -242,45 +243,189 @@ pub fn backend(name: &str) -> Option<Backend> {
     None
 }
 
-/// A per-batch construction cache: jobs in one batch frequently share the
-/// workload or device, and molecule construction is far from free.
-#[derive(Default)]
+/// Total Pauli terms an [`Interner`] keeps resident by default. Every
+/// Table I molecule in both encodings plus `UCC-10…64` (~166k terms) fits,
+/// at ~128 bytes a term (~33 MB when full).
+const MEMO_TERM_BUDGET: usize = 1 << 18;
+
+/// An [`Interner`]'s counters: the `registry` object of `GET /stats` and
+/// the `tetris_registry_memo_*` series of `GET /metrics`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Lookups answered from the memo.
+    pub hits: u64,
+    /// Names constructed (valid names only).
+    pub builds: u64,
+    /// Entries dropped to stay within the budget.
+    pub evictions: u64,
+    /// Terms currently held, never above the budget.
+    pub terms: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Workload,
+    Device,
+}
+
+#[derive(Debug)]
+struct Slot<T> {
+    value: Arc<T>,
+    fingerprint: u64,
+    cost: usize,
+    /// Last-use tick, the key of this entry in [`Interner::recency`].
+    tick: u64,
+}
+
+/// The name memo: wire names of workloads and devices → built `Arc` plus
+/// content fingerprint, so a repeated name costs one hash lookup instead of
+/// a construction and a content hash. The server keeps one for its
+/// lifetime (a VQA client resubmits the same ansatz every optimizer step);
+/// a fresh server starts cold. Entries are charged their Pauli-term count
+/// (a device one term per coupling) and the least recently used ones are
+/// evicted to stay within a fixed budget; a single name above the whole
+/// budget is built and handed out but not kept.
+#[derive(Debug)]
 pub struct Interner {
-    workloads: Vec<(String, Arc<Hamiltonian>)>,
-    devices: Vec<(String, Arc<CouplingGraph>)>,
+    workloads: HashMap<String, Slot<Hamiltonian>>,
+    devices: HashMap<String, Slot<CouplingGraph>>,
+    /// Last-use tick → entry, oldest first.
+    recency: BTreeMap<u64, (Kind, String)>,
+    next_tick: u64,
+    budget: usize,
+    stats: MemoStats,
+}
+
+impl Default for Interner {
+    fn default() -> Self {
+        Interner::with_budget(MEMO_TERM_BUDGET)
+    }
 }
 
 impl Interner {
-    /// A fresh, empty interner.
+    /// An empty memo with the default budget of 2^18 Pauli terms.
     pub fn new() -> Self {
         Interner::default()
     }
 
-    /// The workload named `name`, built at most once per interner.
-    pub fn workload(&mut self, name: &str) -> Option<Arc<Hamiltonian>> {
-        if let Some((_, h)) = self.workloads.iter().find(|(k, _)| k == name) {
-            return Some(h.clone());
+    /// An empty memo holding at most `terms` Pauli terms.
+    fn with_budget(terms: usize) -> Self {
+        Interner {
+            workloads: HashMap::new(),
+            devices: HashMap::new(),
+            recency: BTreeMap::new(),
+            next_tick: 0,
+            budget: terms,
+            stats: MemoStats::default(),
         }
-        let h = Arc::new(workload(name)?);
-        self.workloads.push((name.to_string(), h.clone()));
-        Some(h)
     }
 
-    /// The device named `name`, built at most once per interner.
+    /// The counters so far.
+    pub(crate) fn stats(&self) -> MemoStats {
+        self.stats
+    }
+
+    /// The workload named `name`, built only when not memoized.
+    pub fn workload(&mut self, name: &str) -> Option<Arc<Hamiltonian>> {
+        self.workload_entry(name).map(|(h, _)| h)
+    }
+
+    /// The device named `name`, built only when not memoized.
     pub fn device(&mut self, name: &str) -> Option<Arc<CouplingGraph>> {
-        if let Some((_, g)) = self.devices.iter().find(|(k, _)| k == name) {
-            return Some(g.clone());
+        self.device_entry(name).map(|(g, _)| g)
+    }
+
+    /// [`workload`](Interner::workload) with its content fingerprint.
+    pub(crate) fn workload_entry(&mut self, name: &str) -> Option<(Arc<Hamiltonian>, u64)> {
+        let tick = self.tick();
+        if let Some(hit) = touch(&mut self.workloads, &mut self.recency, name, tick) {
+            self.stats.hits += 1;
+            return Some(hit);
+        }
+        let h = Arc::new(workload(name)?);
+        let fingerprint = h.fingerprint();
+        let cost = h.pauli_string_count();
+        if self.admit(Kind::Workload, name, cost, tick) {
+            let slot = Slot {
+                value: h.clone(),
+                fingerprint,
+                cost,
+                tick,
+            };
+            self.workloads.insert(name.to_string(), slot);
+        }
+        Some((h, fingerprint))
+    }
+
+    /// [`device`](Interner::device) with its content fingerprint.
+    pub(crate) fn device_entry(&mut self, name: &str) -> Option<(Arc<CouplingGraph>, u64)> {
+        let tick = self.tick();
+        if let Some(hit) = touch(&mut self.devices, &mut self.recency, name, tick) {
+            self.stats.hits += 1;
+            return Some(hit);
         }
         let g = Arc::new(device(name)?);
-        self.devices.push((name.to_string(), g.clone()));
-        Some(g)
+        let fingerprint = g.fingerprint();
+        let cost = g.edges().len();
+        if self.admit(Kind::Device, name, cost, tick) {
+            let slot = Slot {
+                value: g.clone(),
+                fingerprint,
+                cost,
+                tick,
+            };
+            self.devices.insert(name.to_string(), slot);
+        }
+        Some((g, fingerprint))
     }
+
+    fn tick(&mut self) -> u64 {
+        self.next_tick += 1;
+        self.next_tick
+    }
+
+    /// Counts a build of `cost` terms and, unless it exceeds the whole
+    /// budget, evicts least recently used entries until it fits and
+    /// records it as used at `tick`. The caller inserts the slot when this
+    /// returns `true`.
+    fn admit(&mut self, kind: Kind, name: &str, cost: usize, tick: u64) -> bool {
+        self.stats.builds += 1;
+        if cost > self.budget {
+            return false;
+        }
+        while self.stats.terms + cost > self.budget {
+            let (_, (kind, name)) = self.recency.pop_first().expect("held terms have an entry");
+            let freed = match kind {
+                Kind::Workload => self.workloads.remove(&name).map(|s| s.cost),
+                Kind::Device => self.devices.remove(&name).map(|s| s.cost),
+            };
+            self.stats.terms -= freed.expect("recency and memo agree");
+            self.stats.evictions += 1;
+        }
+        self.stats.terms += cost;
+        self.recency.insert(tick, (kind, name.to_string()));
+        true
+    }
+}
+
+/// A memo hit on `name`: moves it to the young end of `recency`.
+fn touch<T>(
+    map: &mut HashMap<String, Slot<T>>,
+    recency: &mut BTreeMap<u64, (Kind, String)>,
+    name: &str,
+    tick: u64,
+) -> Option<(Arc<T>, u64)> {
+    let slot = map.get_mut(name)?;
+    let entry = recency.remove(&slot.tick).expect("memo entry has a tick");
+    recency.insert(tick, entry);
+    slot.tick = tick;
+    Some((slot.value.clone(), slot.fingerprint))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetris_engine::CompileBackend;
+    use tetris_engine::{CompileBackend, CompileJob};
 
     #[test]
     fn molecule_names_resolve() {
@@ -398,11 +543,97 @@ mod tests {
     #[test]
     fn interner_shares_construction() {
         let mut i = Interner::new();
-        let a = i.workload("REG3-8-s1").expect("w");
+        let (a, fp) = i.workload_entry("REG3-8-s1").expect("w");
         let b = i.workload("REG3-8-s1").expect("w");
         assert!(Arc::ptr_eq(&a, &b), "second lookup reuses the first build");
-        let g1 = i.device("line-5").expect("d");
+        assert_eq!(
+            fp,
+            a.fingerprint(),
+            "the memo carries the content fingerprint"
+        );
+        let (g1, gfp) = i.device_entry("line-5").expect("d");
         let g2 = i.device("line-5").expect("d");
         assert!(Arc::ptr_eq(&g1, &g2));
+        assert_eq!(gfp, g1.fingerprint());
+        assert!(i.workload("NoSuchMolecule-JW").is_none());
+        assert_eq!(
+            i.stats(),
+            MemoStats {
+                hits: 2,
+                builds: 2,
+                evictions: 0,
+                terms: a.pauli_string_count() + g1.edges().len(),
+            },
+            "unknown names build nothing"
+        );
+    }
+
+    #[test]
+    fn hot_name_survives_churn_within_the_budget() {
+        // REG3-8 has 12 terms and REG3-12 has 18: 200 terms hold about ten
+        // one-off names, and the churn below cycles through sixty.
+        let budget = 200;
+        let mut i = Interner::with_budget(budget);
+        let hot = i.workload("REG3-8-s1").expect("hot");
+        for k in 0..60 {
+            i.workload(&format!("REG3-12-s{k}")).expect("one-off");
+            assert!(i.stats().terms <= budget, "budget exceeded at step {k}");
+            let builds = i.stats().builds;
+            let again = i.workload("REG3-8-s1").expect("hot");
+            assert!(Arc::ptr_eq(&hot, &again), "hot name evicted at step {k}");
+            assert_eq!(i.stats().builds, builds, "a hot hit builds nothing");
+        }
+        let s = i.stats();
+        assert_eq!(s.builds, 61);
+        assert!(s.evictions >= 50, "churn must evict: {s:?}");
+        let oldest = i.workload("REG3-12-s0").expect("rebuilt");
+        assert_eq!(i.stats().builds, 62, "an evicted name is built again");
+        assert_eq!(oldest.pauli_string_count(), 18);
+
+        // A name larger than the whole budget is served but never held.
+        let big = i.workload("UCC-10").expect("oversized");
+        assert!(big.pauli_string_count() > budget);
+        assert!(i.stats().terms <= budget);
+        assert!(!Arc::ptr_eq(&big, &i.workload("UCC-10").expect("again")));
+    }
+
+    #[test]
+    fn carried_keys_match_hashed_keys_on_table1_workloads() {
+        let mut names: Vec<String> = Vec::new();
+        for m in ["LiH", "BeH2", "CH4", "MgH2", "LiCl", "CO2"] {
+            names.push(format!("{m}-JW"));
+            names.push(format!("{m}-BK"));
+        }
+        names.extend([10, 15, 20, 25, 30, 35].map(|n| format!("UCC-{n}")));
+        names.extend(["RAND-16-25-s1", "RAND-18-31-s1", "RAND-20-40-s1"].map(String::from));
+        names.extend(["REG3-16-s1", "REG3-18-s1", "REG3-20-s1"].map(String::from));
+        let backends = [
+            "tetris",
+            "tetris-nolookahead",
+            "paulihedral",
+            "maxcancel",
+            "pcoast",
+            "tket",
+            "tket-postroute",
+            "2qan-s7",
+        ];
+        let mut memo = Interner::new();
+        for device_name in ["heavy-hex", "grid-12x12", "heavy-hex!cal-s7"] {
+            let graph = memo.device_entry(device_name).expect("device");
+            for name in &names {
+                let ham = memo.workload_entry(name).expect("workload");
+                for b in backends {
+                    let backend = backend(b).expect("backend");
+                    let carried =
+                        CompileJob::with_fingerprints(name, backend, ham.clone(), graph.clone());
+                    let hashed = CompileJob::new(name, backend, ham.0.clone(), graph.0.clone());
+                    assert_eq!(
+                        carried.cache_key(),
+                        hashed.cache_key(),
+                        "{name} x {device_name} x {b}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -318,6 +318,87 @@ fn inflight_cap_sheds_batches_with_retry_after() {
 }
 
 #[test]
+fn oversized_batch_is_shed_before_any_registry_build() {
+    let (addr, state) = start(
+        ServerConfig {
+            max_inflight: 2,
+            ..Default::default()
+        },
+        1,
+    );
+    let specs = [
+        r#"{"workload": "REG3-10-s1", "backend": "maxcancel", "device": "ring-11"}"#,
+        r#"{"workload": "REG3-10-s2", "backend": "maxcancel", "device": "ring-11"}"#,
+        r#"{"workload": "REG3-10-s3", "backend": "maxcancel", "device": "ring-11"}"#,
+    ];
+    let (status, body) = request(&addr, "POST", "/batch", Some(&batch_body(&specs)));
+    assert_eq!(status, 503, "{body}");
+    assert_eq!(
+        state.registry_stats().builds,
+        0,
+        "a shed batch must not pay for registry builds"
+    );
+    assert_eq!(state.admission_counters().2, 1);
+
+    let (status, body) = request(&addr, "POST", "/batch", Some(&batch_body(&specs[..2])));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        state.registry_stats().builds,
+        3,
+        "two workloads and a device"
+    );
+    poll_done(&addr, 1);
+    poll_done(&addr, 2);
+}
+
+#[test]
+fn repeat_names_hit_the_memo_and_stats_match_metrics() {
+    let (addr, state) = start(ServerConfig::default(), 1);
+    let (status, body) = request(&addr, "POST", "/batch", Some(&batch_body(&[TINY])));
+    assert_eq!(status, 200, "{body}");
+    poll_done(&addr, 1);
+    let first = state.registry_stats();
+    assert_eq!((first.hits, first.builds), (0, 2), "{first:?}");
+
+    // The re-POST is served from the server-lifetime memo.
+    let (status, body) = request(&addr, "POST", "/batch", Some(&batch_body(&[TINY])));
+    assert_eq!(status, 200, "{body}");
+    let again = poll_done(&addr, 2);
+    assert_eq!(field(&again, "cached"), Some("true"), "{again}");
+    let second = state.registry_stats();
+    assert_eq!((second.hits, second.builds), (2, 2), "{second:?}");
+    assert_eq!(second.terms, first.terms);
+
+    let (_, stats) = request(&addr, "GET", "/stats", None);
+    let registry = &stats[stats.find("\"registry\":").expect("registry object")..];
+    for (key, value) in [
+        ("hits", second.hits),
+        ("builds", second.builds),
+        ("evictions", second.evictions),
+        ("terms", second.terms as u64),
+    ] {
+        assert_eq!(
+            field(registry, key),
+            Some(value.to_string().as_str()),
+            "{stats}"
+        );
+    }
+    let (_, metrics) = request(&addr, "GET", "/metrics", None);
+    for series in [
+        "tetris_registry_memo_hits_total",
+        "tetris_registry_memo_builds_total",
+        "tetris_registry_memo_evictions_total",
+        "tetris_registry_memo_terms",
+        "# TYPE tetris_threads gauge",
+    ] {
+        assert!(
+            metrics.contains(series),
+            "missing `{series}` in:\n{metrics}"
+        );
+    }
+}
+
+#[test]
 fn connection_cap_sheds_new_sockets() {
     let (addr, _) = start(
         ServerConfig {
