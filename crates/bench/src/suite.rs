@@ -237,7 +237,11 @@ pub fn run_shard_comparison(quick: bool, threads: usize) -> ShardComparison {
         sequential_wall,
         sharded_wall,
         regions,
-        leftover: sharded.report.leftover,
+        leftover: sharded
+            .results
+            .iter()
+            .filter(|r| r.region.is_none())
+            .count(),
         qubits_used,
     }
 }

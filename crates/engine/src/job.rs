@@ -120,11 +120,13 @@ pub struct JobResult {
     /// nothing is cached.
     pub error: Option<String>,
     /// The device region this job ran on, when the batch went through
-    /// [`RegionScheduler::schedule_batch`](crate::RegionScheduler::schedule_batch)
-    /// and the scheduler placed it: the [`output`](JobResult::output)
-    /// circuit and layout are then already relabeled into global device
-    /// coordinates restricted to this region's qubits. `None` for
-    /// whole-chip compiles (including region batches' leftover jobs).
+    /// [`RegionScheduler::submit_batch`](crate::RegionScheduler::submit_batch)
+    /// (or its blocking form, `schedule_batch`) and the scheduler placed
+    /// it: the worker that answered the job carried this region, and the
+    /// [`output`](JobResult::output) circuit and layout are already
+    /// relabeled into global device coordinates restricted to its qubits.
+    /// `None` for whole-chip compiles (including region batches' leftover
+    /// jobs).
     pub region: Option<Region>,
     /// Per-stage timeline of this job's trip through the engine: queue
     /// wait, cache lookup (including any disk IO it triggered), then — on

@@ -11,9 +11,11 @@
 //! pieces:
 //!
 //! * **A fixed worker pool** ([`Engine`]) built on `std::thread` + `mpsc`
-//!   channels: a batch of [`CompileJob`]s is fanned out over N workers and
-//!   the results are returned in submission order. Compilation is pure, so
-//!   a parallel batch is bit-identical to a serial one.
+//!   channels: a batch of [`CompileJob`]s is fanned out over N workers,
+//!   and the worker that answers each job delivers it
+//!   ([`Engine::submit_batch`]); [`Engine::compile_batch`] returns the
+//!   results in submission order. Compilation is pure, so a parallel
+//!   batch is bit-identical to a serial one.
 //! * **A tiered content-addressed cache** ([`cache::ResultCache`]) keyed
 //!   by a stable 64-bit fingerprint of the job's semantic content
 //!   ([`CompileJob::cache_key`]): repeated points are served from memory
@@ -28,19 +30,21 @@
 //!   `qaoa_2qan`) behind one [`CompileBackend`] trait, so a single batch
 //!   can sweep compilers like-for-like.
 //! * **Region scheduling** ([`scheduler`],
+//!   [`RegionScheduler::submit_batch`], blocking form
 //!   [`RegionScheduler::schedule_batch`]): a batch of small workloads is
 //!   packed onto disjoint connected regions of one large chip — each job
-//!   compiles against its induced subgraph on the same pool and comes
-//!   back relabeled into global coordinates. Carved regions stay alive
-//!   across batches on a per-device free-list with per-region FIFO queues
-//!   and a defragmenter, so steady-state repeat-shape traffic skips
-//!   carving and compilation entirely (the relabeled artifacts are
-//!   themselves content-addressed).
+//!   is a work item on the same pool that carries its region, compiles
+//!   against the induced subgraph and is delivered relabeled into global
+//!   coordinates by the worker that answered it, exactly like a plain
+//!   batch's jobs. Carved regions stay alive across batches on a
+//!   per-device free-list with per-region FIFO queues and a defragmenter,
+//!   so steady-state repeat-shape traffic skips carving and compilation
+//!   entirely (the relabeled artifacts are themselves content-addressed).
 //! * **Observability** (via [`tetris_obs`]): every job records a per-stage
 //!   wall-time timeline ([`JobResult::stages`] for the request,
 //!   [`EngineOutput::stages`] for the original compile — the latter
-//!   persisted by the disk codec), workers and resident cache hits feed
-//!   the process-wide metrics registry (`tetris_jobs_completed_total`,
+//!   persisted by the disk codec), and the workers that answer every job,
+//!   resident cache hits included, feed the process-wide metrics registry (`tetris_jobs_completed_total`,
 //!   `tetris_engine_seconds`, `tetris_stage_seconds{stage=…}`) and a
 //!   bounded ring of recent trace events. Disabled wholesale with
 //!   [`tetris_obs::set_enabled`]`(false)`, which reduces the hot path to
@@ -88,6 +92,5 @@ pub use disk::{DiskCache, DiskStats};
 pub use job::{CompileJob, JobResult};
 pub use pool::{Engine, EngineConfig};
 pub use scheduler::{
-    slack_for_width, DeviceSnapshot, RegionScheduler, RegionSnapshot, ResidentBatch,
-    ResidentReport, SchedulerStats,
+    slack_for_width, DeviceSnapshot, RegionScheduler, RegionSnapshot, ResidentBatch, SchedulerStats,
 };

@@ -6,19 +6,22 @@
 //! worker consults the shared [`ResultCache`] before touching a compiler,
 //! then hands the result to its batch's sink itself, followed by any
 //! in-batch duplicates of that job, so submitting a batch spawns no
-//! thread. `compile_batch` is a sink that reassembles the answers in
-//! submission order.
+//! thread; a job the [`RegionScheduler`](crate::RegionScheduler) placed
+//! carries its region. `compile_batch` is a sink that reassembles the
+//! answers in submission order.
 
 use crate::backend::{CompileBackend, EngineOutput};
 use crate::cache::{CacheStats, ResultCache};
 use crate::job::{CompileJob, JobResult};
+use crate::scheduler::{induced_job, relabel_output, resident_key};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use tetris_obs::trace::{self, Stage, StageTimings};
 use tetris_obs::{Counter, Histogram};
+use tetris_topology::Region;
 
 /// Engine sizing.
 #[derive(Debug, Clone)]
@@ -53,14 +56,18 @@ impl Default for EngineConfig {
 
 /// Where a batch's results go: the caller's `on_result`, shared by the
 /// batch's work items and called on whichever worker finishes each job.
-type Sink = Arc<dyn Fn(JobResult) + Send + Sync>;
+pub(crate) type Sink = Arc<dyn Fn(JobResult) + Send + Sync>;
 
-struct WorkItem {
+pub(crate) struct WorkItem {
     index: usize,
-    /// [`CompileJob::cache_key`], computed once at submission (where it
-    /// also coalesces duplicates) and carried to the worker.
+    /// [`CompileJob::cache_key`] — or, for a placed job, its resident key —
+    /// computed once at submission (where it also coalesces duplicates)
+    /// and carried to the worker.
     key: u64,
     job: CompileJob,
+    /// The device region a scheduled job was placed on: the worker answers
+    /// it relabeled into global coordinates. `None` compiles whole-chip.
+    region: Option<Region>,
     /// Later jobs of the same batch with this key, as `(index, job)`: the
     /// worker resolves them right after this job, usually as cache hits.
     duplicates: Vec<(usize, CompileJob)>,
@@ -68,6 +75,39 @@ struct WorkItem {
     /// Submission instant — the worker's dequeue time minus this is the
     /// job's [`Stage::QueueWait`].
     submitted_at: Instant,
+}
+
+impl WorkItem {
+    /// One job for the pool, keyed by its resident key when `region` is
+    /// set and by its [`CompileJob::cache_key`] otherwise.
+    pub(crate) fn new(index: usize, job: CompileJob, region: Option<Region>, sink: Sink) -> Self {
+        let key = match &region {
+            Some(region) => resident_key(&job, region),
+            None => job.cache_key(),
+        };
+        WorkItem {
+            index,
+            key,
+            job,
+            region,
+            duplicates: Vec::new(),
+            sink,
+            submitted_at: Instant::now(),
+        }
+    }
+}
+
+/// Enqueues `items` unless the engine was dropped (then they are
+/// dropped too): the region scheduler runs a batch's later rounds on the
+/// worker that finished the previous one, through a handle that must not
+/// keep the workers alive.
+pub(crate) fn dispatch(queue: &Weak<Sender<WorkItem>>, items: Vec<WorkItem>) {
+    if let Some(queue) = queue.upgrade() {
+        for item in items {
+            // Workers outlive every queue handle.
+            let _ = queue.send(item);
+        }
+    }
 }
 
 /// Pre-resolved handles into the global metrics registry, looked up once
@@ -153,6 +193,7 @@ fn answer(
     index: usize,
     job: CompileJob,
     key: u64,
+    region: Option<Region>,
     cache: &ResultCache,
     metrics: &PoolMetrics,
     submitted_at: Option<Instant>,
@@ -161,7 +202,7 @@ fn answer(
     // Failures are reported, not cached: a panic may be environmental,
     // and a placeholder must never satisfy a later lookup of the same
     // content. `execute` upholds this.
-    let (output, cached, error, mut stages) = execute(&job, key, cache);
+    let (output, cached, error, mut stages) = execute(&job, key, region.as_ref(), cache);
     if let (Some(at), true) = (submitted_at, tetris_obs::enabled()) {
         stages.add(Stage::QueueWait, t0.duration_since(at).as_secs_f64());
     }
@@ -173,7 +214,7 @@ fn answer(
         cached,
         engine_seconds: t0.elapsed().as_secs_f64(),
         error,
-        region: None,
+        region,
         stages,
         output,
     };
@@ -199,12 +240,15 @@ fn failed_output(job: &CompileJob) -> EngineOutput {
 /// attributes to [`Stage::DiskIo`] itself), then on a miss the compile
 /// stages — with the un-instrumented remainder attributed to
 /// [`Stage::Other`] so the stage walls always sum to the compile wall —
-/// and the disk write-back. Queue wait is the caller's to add: only the
-/// worker has a submission instant. Returns all zeros for `stages` while
+/// and the disk write-back. A placed job's miss executes the job on its
+/// region's induced subgraph, then stores the relabeled artifact under
+/// its resident `key`. Queue wait is the caller's to add: only the worker
+/// has a submission instant. Returns all zeros for `stages` while
 /// observability is disabled.
 fn execute(
     job: &CompileJob,
     key: u64,
+    region: Option<&Region>,
     cache: &ResultCache,
 ) -> (Arc<EngineOutput>, bool, Option<String>, StageTimings) {
     let on = tetris_obs::enabled();
@@ -223,9 +267,22 @@ fn execute(
         );
     }
 
-    match hit {
-        Some(output) => (output, true, None, stages),
-        None => {
+    match (hit, region) {
+        (Some(output), _) => (output, true, None, stages),
+        (None, Some(region)) => {
+            let induced = induced_job(job, region);
+            let (local, cached, error, compile) =
+                execute(&induced, induced.cache_key(), None, cache);
+            stages.merge(&compile);
+            if error.is_some() {
+                return (local, cached, error, stages);
+            }
+            trace::begin_scope();
+            let output = cache.insert(key, relabel_output(&local, region));
+            stages.merge(&trace::take_scope());
+            (output, cached, None, stages)
+        }
+        (None, None) => {
             trace::begin_scope();
             let t_compile = Instant::now();
             let compiled = run_guarded(job);
@@ -265,10 +322,10 @@ fn execute(
 #[derive(Debug)]
 pub struct Engine {
     cache: Arc<ResultCache>,
-    queue: Option<Sender<WorkItem>>,
+    /// The only strong handle on the queue: dropping it ends the workers.
+    queue: Option<Arc<Sender<WorkItem>>>,
     workers: Vec<JoinHandle<()>>,
     threads: usize,
-    metrics: Arc<PoolMetrics>,
 }
 
 impl Engine {
@@ -305,10 +362,9 @@ impl Engine {
             .collect();
         Engine {
             cache,
-            queue: Some(tx),
+            queue: Some(Arc::new(tx)),
             workers,
             threads,
-            metrics,
         }
     }
 
@@ -327,17 +383,9 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// The shared result cache (the region scheduler stores relabeled
-    /// artifacts under `tetris-resident/v1` keys alongside the per-job
-    /// entries).
-    pub(crate) fn cache(&self) -> &ResultCache {
-        &self.cache
-    }
-
-    /// Records a job answered outside the pool (a resident cache hit) into
-    /// the same counters, histograms and trace ring the workers feed.
-    pub(crate) fn observe(&self, r: &JobResult) {
-        self.metrics.observe(r);
+    /// A handle for [`dispatch`]ing work after this call returns.
+    pub(crate) fn queue_handle(&self) -> Weak<Sender<WorkItem>> {
+        Arc::downgrade(self.queue.as_ref().expect("engine queue alive until drop"))
     }
 
     /// Submits a batch and invokes `on_result` once per job *as each
@@ -369,19 +417,12 @@ impl Engine {
         let mut items: Vec<WorkItem> = Vec::new();
         let mut primary: HashMap<u64, usize> = HashMap::new();
         for (index, job) in jobs.into_iter().enumerate() {
-            let key = job.cache_key();
-            match primary.get(&key) {
-                Some(&slot) => items[slot].duplicates.push((index, job)),
+            let item = WorkItem::new(index, job, None, Arc::clone(&sink));
+            match primary.get(&item.key) {
+                Some(&slot) => items[slot].duplicates.push((index, item.job)),
                 None => {
-                    primary.insert(key, items.len());
-                    items.push(WorkItem {
-                        index,
-                        key,
-                        job,
-                        duplicates: Vec::new(),
-                        sink: Arc::clone(&sink),
-                        submitted_at: Instant::now(),
-                    });
+                    primary.insert(item.key, items.len());
+                    items.push(item);
                 }
             }
         }
@@ -402,22 +443,32 @@ impl Engine {
     /// two workers on identical work.
     pub fn compile_batch(&self, jobs: Vec<CompileJob>) -> Vec<JobResult> {
         let total = jobs.len();
-        let (tx, rx) = channel::<JobResult>();
-        self.submit_batch(jobs, move |r| {
-            // The receiver outlives every send unless the caller panicked.
-            let _ = tx.send(r);
-        });
-        let mut slots: Vec<Option<JobResult>> = (0..total).map(|_| None).collect();
-        for _ in 0..total {
-            let r = rx.recv().expect("the pool delivers every job");
-            let index = r.index;
-            slots[index] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled"))
-            .collect()
+        collect_in_order(total, |sink| self.submit_batch(jobs, sink))
     }
+}
+
+/// Blocks until `total` results arrive through the sink handed to
+/// `submit`, and returns them in submission order — the blocking form of
+/// every push-style submit.
+pub(crate) fn collect_in_order<S>(total: usize, submit: S) -> Vec<JobResult>
+where
+    S: FnOnce(Box<dyn Fn(JobResult) + Send + Sync>),
+{
+    let (tx, rx) = channel::<JobResult>();
+    submit(Box::new(move |r| {
+        // The receiver outlives every send unless the caller panicked.
+        let _ = tx.send(r);
+    }));
+    let mut slots: Vec<Option<JobResult>> = (0..total).map(|_| None).collect();
+    for _ in 0..total {
+        let r = rx.recv().expect("the pool delivers every job");
+        let index = r.index;
+        slots[index] = Some(r);
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every slot filled"))
+        .collect()
 }
 
 impl Drop for Engine {
@@ -441,13 +492,15 @@ fn worker_loop(rx: &Mutex<Receiver<WorkItem>>, cache: &ResultCache, metrics: &Po
             index,
             key,
             job,
+            region,
             duplicates,
             sink,
             submitted_at,
         } = item;
-        sink(answer(index, job, key, cache, metrics, Some(submitted_at)));
+        let at = Some(submitted_at);
+        sink(answer(index, job, key, region, cache, metrics, at));
         for (index, job) in duplicates {
-            sink(answer(index, job, key, cache, metrics, None));
+            sink(answer(index, job, key, None, cache, metrics, None));
         }
     }
 }

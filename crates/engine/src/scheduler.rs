@@ -49,20 +49,24 @@
 //!   cache lookup. Isomorphic regions still share the underlying compile
 //!   entries for free — induced fingerprints depend only on local wiring.
 //!
-//! The scheduler is safe to share across server worker threads: placement
-//! decisions serialize on a per-device mutex, compiles run on the engine's
-//! worker pool with the lock released, and waiters park on a condvar that
-//! region releases notify.
+//! The scheduler is safe to share across threads and spawns none.
+//! Placement decisions serialize on a per-device mutex.
+//! [`RegionScheduler::submit_batch`] runs a batch's first placement round
+//! on the caller and hands every placed job to the engine's worker pool as
+//! a work item that carries its region. The worker that delivers the last
+//! job of a round releases that round's regions and runs the next round,
+//! of that batch and of every batch parked on the device; a batch with
+//! nothing runnable waits in the device state, not on a thread.
 
 use crate::backend::{CompileBackend, EngineOutput};
 use crate::job::{CompileJob, JobResult};
-use crate::pool::Engine;
+use crate::pool::{collect_in_order, dispatch, Engine, Sink, WorkItem};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Mutex, Weak};
+use std::time::Instant;
 use tetris_obs::trace::Stage;
-use tetris_obs::StageTimings;
 use tetris_pauli::fingerprint::Fingerprint64;
 use tetris_pauli::QubitMask;
 use tetris_topology::{CouplingGraph, Region};
@@ -130,7 +134,7 @@ fn carve_with_slack_ladder(
 /// the final layout is lifted with [`tetris_topology::Layout::offset_into`].
 /// Stats are untouched — depth, durations and gate counts are
 /// relabeling-invariant.
-fn relabel_output(local: &EngineOutput, region: &Region) -> EngineOutput {
+pub(crate) fn relabel_output(local: &EngineOutput, region: &Region) -> EngineOutput {
     let mut circuit = tetris_circuit::Circuit::new(region.device_qubits());
     for gate in local.circuit.gates() {
         circuit.push(gate.map_qubits(|q| region.to_global(q)));
@@ -144,6 +148,20 @@ fn relabel_output(local: &EngineOutput, region: &Region) -> EngineOutput {
         // compile's breakdown travels with the artifact unchanged.
         stages: local.stages,
     }
+}
+
+/// `job` retargeted at the subgraph `region` induces on its device — what
+/// a placed job compiles against when its relabeled artifact is not
+/// cached.
+pub(crate) fn induced_job(job: &CompileJob, region: &Region) -> CompileJob {
+    let induced = Arc::new(job.graph.induced(region));
+    let induced_fp = induced.fingerprint();
+    CompileJob::with_fingerprints(
+        job.name.clone(),
+        job.backend,
+        (job.hamiltonian.clone(), job.content_fingerprints().0),
+        (induced, induced_fp),
+    )
 }
 
 /// One carved region on a device's free-list.
@@ -160,7 +178,7 @@ struct ResidentRegion {
     jobs_served: u64,
 }
 
-/// Mutable per-device scheduling state, behind [`DeviceShared::state`].
+/// Mutable per-device scheduling state, behind one mutex per device.
 #[derive(Debug)]
 struct DeviceState {
     graph: Arc<CouplingGraph>,
@@ -169,23 +187,9 @@ struct DeviceState {
     carved: QubitMask,
     next_region_id: u64,
     next_ticket: u64,
-}
-
-impl DeviceState {
-    fn queue_depth(&self) -> usize {
-        self.regions.iter().map(|r| r.queue.len()).sum()
-    }
-
-    fn any_busy(&self) -> bool {
-        self.regions.iter().any(|r| r.busy)
-    }
-}
-
-/// A device's state plus the condvar that region releases notify.
-#[derive(Debug)]
-struct DeviceShared {
-    state: Mutex<DeviceState>,
-    released: Condvar,
+    /// Batch groups with nothing runnable, waiting for a region of this
+    /// device to be released: every release runs their next round.
+    parked: Vec<Group>,
 }
 
 /// Monotonic event counters, shared across devices and batches.
@@ -261,37 +265,13 @@ pub struct DeviceSnapshot {
     pub regions: Vec<RegionSnapshot>,
 }
 
-/// What one [`RegionScheduler::schedule_batch`] call did: per-batch
-/// deltas of the scheduler counters plus round/queue telemetry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResidentReport {
-    /// Scheduling rounds the batch took (1 when everything placed at
-    /// once).
-    pub rounds: usize,
-    /// Regions carved for this batch (including defrag re-carves).
-    pub carves_performed: u64,
-    /// Placements served without carving (free-list reuse + tickets).
-    pub carves_skipped: u64,
-    /// Defragmenter runs triggered by this batch.
-    pub defrags: u64,
-    /// Tickets displaced by this batch's defragmentations.
-    pub displaced: u64,
-    /// Jobs that fell back to whole-chip compilation.
-    pub leftover: usize,
-    /// Largest total queue depth observed across the batch's rounds.
-    pub peak_queue_depth: usize,
-}
-
 /// The scheduler's answer for a batch: per-job results in submission
 /// order (placed jobs relabeled into global coordinates with
-/// [`JobResult::region`] set, leftovers compiled whole-chip) plus the
-/// batch report.
+/// [`JobResult::region`] set, leftovers compiled whole-chip).
 #[derive(Debug)]
 pub struct ResidentBatch {
     /// One result per submitted job, in submission order.
     pub results: Vec<JobResult>,
-    /// What scheduling this batch cost.
-    pub report: ResidentReport,
 }
 
 /// One batch job still looking for a region.
@@ -299,6 +279,7 @@ struct PendingJob {
     /// Position in the submitted batch.
     index: usize,
     width: usize,
+    job: CompileJob,
     /// `(region id, ticket)` while waiting on a region's FIFO.
     ticket: Option<(u64, u64)>,
     /// Rounds spent starved by fragmentation (no compatible region, carve
@@ -306,14 +287,117 @@ struct PendingJob {
     starved: usize,
 }
 
+/// One device's share of a batch in flight: its jobs still looking for a
+/// region, plus what the worker that finishes the group's current wave
+/// needs to run the next round.
+struct Group {
+    pending: Vec<PendingJob>,
+    sink: Sink,
+    pool: Weak<Sender<WorkItem>>,
+    totals: Arc<Totals>,
+    device: Arc<Mutex<DeviceState>>,
+}
+
+impl std::fmt::Debug for Group {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Group")
+            .field("pending", &self.pending.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Group {
+    /// One placement round under the device lock. Everything the round
+    /// placed, plus `leftover` (compiled whole-chip), goes to the pool as
+    /// one wave. When nothing is runnable — every pending job waits on a
+    /// region another batch holds — the group parks on the device instead,
+    /// and the next release there runs the round again.
+    fn round(mut self, st: &mut DeviceState, mut leftover: Vec<PendingJob>) {
+        let mut placed = Vec::new();
+        st.assign_round(&self.totals, &mut self.pending, &mut placed, &mut leftover);
+        if placed.is_empty() && leftover.is_empty() {
+            st.parked.push(self);
+            return;
+        }
+        let pool = self.pool.clone();
+        let wave = Arc::new(Wave {
+            remaining: AtomicUsize::new(placed.len() + leftover.len()),
+            regions: placed.iter().map(|(_, id, _)| *id).collect(),
+            sink: Arc::clone(&self.sink),
+            group: Mutex::new(Some(self)),
+        });
+        let sink: Sink = {
+            let wave = Arc::clone(&wave);
+            Arc::new(move |result| wave.deliver(result))
+        };
+        let items: Vec<WorkItem> = placed
+            .into_iter()
+            .map(|(p, _, region)| (p, Some(region)))
+            .chain(leftover.into_iter().map(|p| (p, None)))
+            .map(|(p, region)| WorkItem::new(p.index, p.job, region, Arc::clone(&sink)))
+            .collect();
+        dispatch(&pool, items);
+    }
+}
+
+/// One round's jobs on the pool. The worker that delivers the last of
+/// them releases the wave's regions and runs the next round of its group
+/// and of every group parked on the device — so a batch's next round
+/// starts only once its whole current wave is answered.
+struct Wave {
+    /// Jobs not yet delivered. The worker that takes it to zero finishes
+    /// the wave; `AcqRel` orders every earlier delivery before that.
+    remaining: AtomicUsize,
+    /// Ids of the regions the wave holds.
+    regions: Vec<u64>,
+    /// The batch's `on_result`.
+    sink: Sink,
+    /// The group, taken by whichever worker finishes the wave.
+    group: Mutex<Option<Group>>,
+}
+
+impl Wave {
+    fn deliver(&self, result: JobResult) {
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let group = self
+                .group
+                .lock()
+                .expect("wave lock")
+                .take()
+                .expect("a wave finishes once");
+            let device = Arc::clone(&group.device);
+            let mut st = device.lock().expect("device state lock");
+            for rid in &self.regions {
+                if let Some(r) = st.regions.iter_mut().find(|r| r.id == *rid) {
+                    r.busy = false;
+                    r.jobs_served += 1;
+                }
+            }
+            // Parked groups first, in arrival order; their tickets keep
+            // each region's FIFO fair.
+            let mut ready = std::mem::take(&mut st.parked);
+            if !group.pending.is_empty() {
+                ready.push(group);
+            }
+            for g in ready {
+                g.round(&mut st, Vec::new());
+            }
+            push_gauges(&st);
+        }
+        // The regions are free before the batch's last result goes out, so
+        // a caller that has every result sees them released.
+        (self.sink)(result);
+    }
+}
+
 /// The content address of a relabeled resident artifact, domain-separated
 /// from per-job keys. Folds the workload, backend, *device*
 /// graph and region fingerprints — the latter two fully determine the
 /// induced subgraph, so the warm path derives the key without ever
-/// materializing the induced graph (that construction is deferred to the
-/// cache-miss arm of [`RegionScheduler::compile_wave`]). The workload and
-/// device fingerprints are the job's carried ones when it has them.
-fn resident_key(job: &CompileJob, region: &Region) -> u64 {
+/// materializing the induced graph (the worker builds it only on a cache
+/// miss, via [`induced_job`]). The workload and device fingerprints are
+/// the job's carried ones when it has them.
+pub(crate) fn resident_key(job: &CompileJob, region: &Region) -> u64 {
     let (hamiltonian, graph) = job.content_fingerprints();
     let mut h = Fingerprint64::new();
     h.write_bytes(b"tetris-resident/v1");
@@ -350,194 +434,28 @@ fn push_gauges(st: &DeviceState) {
         .set(st.queue_depth() as i64);
 }
 
-/// The resident-region scheduler. One instance serves all devices and all
-/// batches of a process; see the module docs for the lifecycle.
-#[derive(Debug)]
-pub struct RegionScheduler {
-    /// Per-device shared state, keyed by graph fingerprint in first-seen
-    /// order.
-    devices: Mutex<Vec<(u64, Arc<DeviceShared>)>>,
-    totals: Totals,
-}
-
-impl RegionScheduler {
-    /// An empty scheduler: no devices seen, no regions carved. Slack
-    /// follows [`slack_for_width`]; a fragmentation-starved job waits two
-    /// rounds before the defragmenter runs.
-    pub fn with_default_config() -> Self {
-        RegionScheduler {
-            devices: Mutex::new(Vec::new()),
-            totals: Totals::default(),
-        }
+impl DeviceState {
+    fn queue_depth(&self) -> usize {
+        self.regions.iter().map(|r| r.queue.len()).sum()
     }
 
-    /// Cumulative counters plus the current residency summary.
-    pub fn stats(&self) -> SchedulerStats {
-        let mut s = SchedulerStats {
-            carves_performed: self.totals.carves_performed.load(Ordering::Relaxed),
-            carves_skipped: self.totals.carves_skipped.load(Ordering::Relaxed),
-            defrags: self.totals.defrags.load(Ordering::Relaxed),
-            displaced: self.totals.displaced.load(Ordering::Relaxed),
-            regions_released: self.totals.regions_released.load(Ordering::Relaxed),
-            ..Default::default()
-        };
-        for (_, shared) in self.devices.lock().expect("device table lock").iter() {
-            let st = shared.state.lock().expect("device state lock");
-            s.resident_regions += st.regions.len();
-            s.resident_qubits += st.carved.count();
-            s.queue_depth += st.queue_depth();
-        }
-        s
+    fn any_busy(&self) -> bool {
+        self.regions.iter().any(|r| r.busy)
     }
 
-    /// The current resident regions of every device the scheduler has
-    /// seen, in first-seen device order.
-    pub fn snapshot(&self) -> Vec<DeviceSnapshot> {
-        self.devices
-            .lock()
-            .expect("device table lock")
-            .iter()
-            .map(|(_, shared)| {
-                let st = shared.state.lock().expect("device state lock");
-                DeviceSnapshot {
-                    device: st.graph.name().to_string(),
-                    device_qubits: st.graph.n_qubits(),
-                    resident_qubits: st.carved.count(),
-                    regions: st
-                        .regions
-                        .iter()
-                        .map(|r| RegionSnapshot {
-                            id: r.id,
-                            qubits: r.region.mask().to_vec(),
-                            busy: r.busy,
-                            queue_depth: r.queue.len(),
-                            jobs_served: r.jobs_served,
-                        })
-                        .collect(),
-                }
-            })
-            .collect()
-    }
-
-    /// The shared state for `graph` (fingerprint `fp`), created on first
-    /// sight.
-    fn device(&self, graph: &Arc<CouplingGraph>, fp: u64) -> Arc<DeviceShared> {
-        let mut devices = self.devices.lock().expect("device table lock");
-        if let Some((_, shared)) = devices.iter().find(|(f, _)| *f == fp) {
-            return Arc::clone(shared);
-        }
-        let shared = Arc::new(DeviceShared {
-            state: Mutex::new(DeviceState {
-                graph: Arc::clone(graph),
-                regions: Vec::new(),
-                carved: QubitMask::empty(graph.n_qubits()),
-                next_region_id: 0,
-                next_ticket: 0,
-            }),
-            released: Condvar::new(),
-        });
-        devices.push((fp, Arc::clone(&shared)));
-        shared
-    }
-
-    /// Schedules a batch onto resident regions, compiling through
-    /// `engine`'s worker pool, and returns per-job results in submission
-    /// order. Regions carved for this batch stay resident for the next
-    /// one; see the module docs for the placement rules.
-    pub fn schedule_batch(&self, engine: &Engine, jobs: Vec<CompileJob>) -> ResidentBatch {
-        // Group by device identity, first-seen order.
-        let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
-        for (i, job) in jobs.iter().enumerate() {
-            let fp = job.content_fingerprints().1;
-            match groups.iter_mut().find(|(gfp, _)| *gfp == fp) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((fp, vec![i])),
-            }
-        }
-
-        let mut slots: Vec<Option<JobResult>> = (0..jobs.len()).map(|_| None).collect();
-        let mut report = ResidentReport::default();
-        for (fp, indices) in groups {
-            let shared = self.device(&jobs[indices[0]].graph, fp);
-            self.schedule_group(engine, &jobs, &indices, &shared, &mut slots, &mut report);
-        }
-        let results = slots
-            .into_iter()
-            .map(|s| s.expect("every job answered"))
-            .collect();
-        ResidentBatch { results, report }
-    }
-
-    /// Runs one device group to completion: rounds of assign → compile →
-    /// release until every job has a result.
-    fn schedule_group(
-        &self,
-        engine: &Engine,
-        jobs: &[CompileJob],
-        indices: &[usize],
-        shared: &DeviceShared,
-        slots: &mut [Option<JobResult>],
-        report: &mut ResidentReport,
-    ) {
-        let graph = Arc::clone(&jobs[indices[0]].graph);
-        let n = graph.n_qubits();
-        let mut pending: Vec<PendingJob> = Vec::new();
-        let mut leftover: Vec<usize> = Vec::new();
-        for &i in indices {
-            let width = jobs[i].hamiltonian.n_qubits;
-            if width > n {
-                // Wider than the device: the whole-chip fallback reports
-                // the compiler's own error.
-                leftover.push(i);
-                report.leftover += 1;
-            } else {
-                pending.push(PendingJob {
-                    index: i,
-                    width,
-                    ticket: None,
-                    starved: 0,
-                });
-            }
-        }
-
-        while !pending.is_empty() || !leftover.is_empty() {
-            report.rounds += 1;
-            let mut wave: Vec<(usize, u64, Region)> = Vec::new();
-            {
-                let mut st = shared.state.lock().expect("device state lock");
-                self.assign_round(&mut st, &mut pending, &mut wave, &mut leftover, report);
-                report.peak_queue_depth = report.peak_queue_depth.max(st.queue_depth());
-                push_gauges(&st);
-                if wave.is_empty() && leftover.is_empty() {
-                    // Nothing runnable this round: every pending job is
-                    // waiting on a region another batch holds. Park until
-                    // a release; the timeout guards against a missed
-                    // notification.
-                    let _ = shared
-                        .released
-                        .wait_timeout(st, Duration::from_millis(50))
-                        .expect("device state lock");
-                    continue;
-                }
-            }
-            let round_leftover = std::mem::take(&mut leftover);
-            self.compile_wave(engine, jobs, &graph, shared, wave, round_leftover, slots);
-        }
-    }
-
-    /// One assignment round under the device lock. Order matters for
-    /// determinism: ticket claims first (FIFO heads onto freed regions),
-    /// then free-list reuse, then one whole-group carve, then
-    /// queue/starve/defrag for whatever is left.
+    /// One assignment round. Order matters for determinism: ticket claims
+    /// first (FIFO heads onto freed regions), then free-list reuse, then
+    /// one whole-group carve, then queue/starve/defrag for whatever is
+    /// left. Placed jobs move to `wave` with their region id and region;
+    /// jobs no region can ever host move to `leftover`.
     fn assign_round(
-        &self,
-        st: &mut DeviceState,
+        &mut self,
+        totals: &Totals,
         pending: &mut Vec<PendingJob>,
-        wave: &mut Vec<(usize, u64, Region)>,
-        leftover: &mut Vec<usize>,
-        report: &mut ResidentReport,
+        wave: &mut Vec<(PendingJob, u64, Region)>,
+        leftover: &mut Vec<PendingJob>,
     ) {
-        let graph = Arc::clone(&st.graph);
+        let graph = Arc::clone(&self.graph);
         let n = graph.n_qubits();
 
         // (a) Ticket holders claim their region once it is free and their
@@ -547,7 +465,7 @@ impl RegionScheduler {
             let job = &mut pending[k];
             let mut assigned = None;
             if let Some((rid, ticket)) = job.ticket {
-                match st.regions.iter_mut().find(|r| r.id == rid) {
+                match self.regions.iter_mut().find(|r| r.id == rid) {
                     // Defrag released the region since we queued: fall
                     // back to ordinary placement below.
                     None => job.ticket = None,
@@ -555,17 +473,15 @@ impl RegionScheduler {
                         if !r.busy && r.queue.front() == Some(&ticket) {
                             r.queue.pop_front();
                             r.busy = true;
-                            assigned = Some((job.index, r.id, r.region.clone()));
+                            assigned = Some((r.id, r.region.clone()));
                         }
                     }
                 }
             }
             match assigned {
-                Some(entry) => {
-                    wave.push(entry);
-                    report.carves_skipped += 1;
-                    self.totals.carves_skipped.fetch_add(1, Ordering::Relaxed);
-                    pending.remove(k);
+                Some((id, region)) => {
+                    wave.push((pending.remove(k), id, region));
+                    totals.carves_skipped.fetch_add(1, Ordering::Relaxed);
                 }
                 None => k += 1,
             }
@@ -585,7 +501,7 @@ impl RegionScheduler {
             }
             let width = pending[k].width;
             let grant_hi = (width + slack_for_width(width)).min(n);
-            let pick = st
+            let pick = self
                 .regions
                 .iter_mut()
                 .filter(|r| !r.busy && r.queue.is_empty())
@@ -594,10 +510,8 @@ impl RegionScheduler {
             match pick {
                 Some(r) => {
                     r.busy = true;
-                    wave.push((pending[k].index, r.id, r.region.clone()));
-                    report.carves_skipped += 1;
-                    self.totals.carves_skipped.fetch_add(1, Ordering::Relaxed);
-                    pending.remove(k);
+                    wave.push((pending.remove(k), r.id, r.region.clone()));
+                    totals.carves_skipped.fetch_add(1, Ordering::Relaxed);
                 }
                 None => k += 1,
             }
@@ -614,22 +528,12 @@ impl RegionScheduler {
         let mut deferred: Vec<PendingJob> = Vec::new();
         while !group.is_empty() {
             let widths: Vec<usize> = group.iter().map(|j| j.width).collect();
-            match timed_carve(&graph, &widths, &st.carved) {
+            match timed_carve(&graph, &widths, &self.carved) {
                 Some(regions) => {
                     for (job, region) in group.drain(..).zip(regions) {
-                        st.carved.union_with(region.mask());
-                        let id = st.next_region_id;
-                        st.next_region_id += 1;
-                        st.regions.push(ResidentRegion {
-                            id,
-                            region: region.clone(),
-                            busy: true,
-                            queue: VecDeque::new(),
-                            jobs_served: 0,
-                        });
-                        wave.push((job.index, id, region));
-                        report.carves_performed += 1;
-                        self.totals.carves_performed.fetch_add(1, Ordering::Relaxed);
+                        let id = self.add_region(&region);
+                        wave.push((job, id, region));
+                        totals.carves_performed.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 None => {
@@ -656,14 +560,14 @@ impl RegionScheduler {
             }
             let width = job.width;
             let grant_hi = (width + slack_for_width(width)).min(n);
-            let target = st
+            let target = self
                 .regions
                 .iter_mut()
                 .filter(|r| r.region.len() >= width && r.region.len() <= grant_hi)
                 .min_by_key(|r| (r.queue.len(), std::cmp::Reverse(r.region.len()), r.id));
             if let Some(r) = target {
-                let ticket = st.next_ticket;
-                st.next_ticket += 1;
+                let ticket = self.next_ticket;
+                self.next_ticket += 1;
                 r.queue.push_back(ticket);
                 job.ticket = Some((r.id, ticket));
                 pending.push(job);
@@ -672,17 +576,16 @@ impl RegionScheduler {
             job.starved += 1;
             // On an idle chip waiting never helps: the free set cannot
             // grow without a release, and nothing is in flight.
-            let idle = !st.any_busy();
+            let idle = !self.any_busy();
             if job.starved >= STARVE_ROUNDS || idle {
-                if let Some((id, region)) = self.defrag_for(st, width, report) {
-                    wave.push((job.index, id, region));
+                if let Some((id, region)) = self.defrag_for(totals, width) {
+                    wave.push((job, id, region));
                     continue;
                 }
-                if !st.any_busy() {
+                if !self.any_busy() {
                     // Even an empty chip cannot host the grant: compile
                     // whole-chip.
-                    leftover.push(job.index);
-                    report.leftover += 1;
+                    leftover.push(job);
                     continue;
                 }
             }
@@ -690,18 +593,28 @@ impl RegionScheduler {
         }
     }
 
+    /// Makes `region` resident and busy; returns its id.
+    fn add_region(&mut self, region: &Region) -> u64 {
+        self.carved.union_with(region.mask());
+        let id = self.next_region_id;
+        self.next_region_id += 1;
+        self.regions.push(ResidentRegion {
+            id,
+            region: region.clone(),
+            busy: true,
+            queue: VecDeque::new(),
+            jobs_served: 0,
+        });
+        id
+    }
+
     /// Releases every idle region (displacing their queued tickets back
     /// to ordinary placement) and re-carves for the starving `width` on
     /// the compacted chip. Returns the new busy region on success.
-    fn defrag_for(
-        &self,
-        st: &mut DeviceState,
-        width: usize,
-        report: &mut ResidentReport,
-    ) -> Option<(u64, Region)> {
+    fn defrag_for(&mut self, totals: &Totals, width: usize) -> Option<(u64, Region)> {
         let mut released = 0u64;
         let mut displaced = 0u64;
-        st.regions.retain(|r| {
+        self.regions.retain(|r| {
             if r.busy {
                 return true;
             }
@@ -709,128 +622,164 @@ impl RegionScheduler {
             released += 1;
             false
         });
-        let mut carved = QubitMask::empty(st.graph.n_qubits());
-        for r in &st.regions {
+        let mut carved = QubitMask::empty(self.graph.n_qubits());
+        for r in &self.regions {
             carved.union_with(r.region.mask());
         }
-        st.carved = carved;
-        report.defrags += 1;
-        report.displaced += displaced;
-        self.totals.defrags.fetch_add(1, Ordering::Relaxed);
-        self.totals
-            .displaced
-            .fetch_add(displaced, Ordering::Relaxed);
-        self.totals
+        self.carved = carved;
+        totals.defrags.fetch_add(1, Ordering::Relaxed);
+        totals.displaced.fetch_add(displaced, Ordering::Relaxed);
+        totals
             .regions_released
             .fetch_add(released, Ordering::Relaxed);
 
-        let regions = timed_carve(&st.graph, &[width], &st.carved)?;
+        let regions = timed_carve(&self.graph, &[width], &self.carved)?;
         let region = regions.into_iter().next().expect("one size, one region");
-        st.carved.union_with(region.mask());
-        let id = st.next_region_id;
-        st.next_region_id += 1;
-        st.regions.push(ResidentRegion {
-            id,
-            region: region.clone(),
-            busy: true,
-            queue: VecDeque::new(),
-            jobs_served: 0,
-        });
-        report.carves_performed += 1;
-        self.totals.carves_performed.fetch_add(1, Ordering::Relaxed);
+        let id = self.add_region(&region);
+        totals.carves_performed.fetch_add(1, Ordering::Relaxed);
         Some((id, region))
     }
+}
 
-    /// Compiles one round's wave (plus any whole-chip leftovers) on the
-    /// engine pool, relabels into global coordinates, then releases the
-    /// wave's regions back to the free-list and wakes waiters.
-    #[allow(clippy::too_many_arguments)]
-    fn compile_wave(
-        &self,
-        engine: &Engine,
-        jobs: &[CompileJob],
-        graph: &Arc<CouplingGraph>,
-        shared: &DeviceShared,
-        wave: Vec<(usize, u64, Region)>,
-        leftover: Vec<usize>,
-        slots: &mut [Option<JobResult>],
-    ) {
-        let on = tetris_obs::enabled();
-        let mut sub_jobs: Vec<CompileJob> = Vec::new();
-        let mut origin: Vec<(usize, Option<(Region, u64)>)> = Vec::new();
-        for (index, _, region) in &wave {
-            let job = &jobs[*index];
-            // Resident fast path: the relabeled artifact itself is
-            // content-addressed without building the induced subgraph, so
-            // repeat traffic skips induction, compile AND relabel.
-            let t0 = Instant::now();
-            let rkey = resident_key(job, region);
-            match engine.cache().get(rkey) {
-                Some(hit) => {
-                    let mut stages = StageTimings::default();
-                    if on {
-                        stages.add(Stage::CacheLookup, t0.elapsed().as_secs_f64());
-                    }
-                    let result = JobResult {
-                        index: *index,
-                        name: job.name.clone(),
-                        compiler: hit.compiler.clone(),
-                        cache_key: rkey,
-                        cached: true,
-                        engine_seconds: t0.elapsed().as_secs_f64(),
-                        error: None,
-                        region: Some(region.clone()),
-                        stages,
-                        output: hit,
-                    };
-                    // A hit never reaches a pool worker, so it is recorded
-                    // here exactly as a worker records its jobs.
-                    engine.observe(&result);
-                    slots[*index] = Some(result);
+/// The resident-region scheduler. One instance serves all devices and all
+/// batches of a process; see the module docs for the lifecycle.
+#[derive(Debug)]
+pub struct RegionScheduler {
+    /// Per-device state, keyed by graph fingerprint in first-seen order.
+    devices: Mutex<Vec<(u64, Arc<Mutex<DeviceState>>)>>,
+    totals: Arc<Totals>,
+}
+
+impl RegionScheduler {
+    /// An empty scheduler: no devices seen, no regions carved. Slack
+    /// follows [`slack_for_width`]; a fragmentation-starved job waits two
+    /// rounds before the defragmenter runs.
+    pub fn with_default_config() -> Self {
+        RegionScheduler {
+            devices: Mutex::new(Vec::new()),
+            totals: Arc::default(),
+        }
+    }
+
+    /// Cumulative counters plus the current residency summary.
+    pub fn stats(&self) -> SchedulerStats {
+        let mut s = SchedulerStats {
+            carves_performed: self.totals.carves_performed.load(Ordering::Relaxed),
+            carves_skipped: self.totals.carves_skipped.load(Ordering::Relaxed),
+            defrags: self.totals.defrags.load(Ordering::Relaxed),
+            displaced: self.totals.displaced.load(Ordering::Relaxed),
+            regions_released: self.totals.regions_released.load(Ordering::Relaxed),
+            ..Default::default()
+        };
+        for (_, device) in self.devices.lock().expect("device table lock").iter() {
+            let st = device.lock().expect("device state lock");
+            s.resident_regions += st.regions.len();
+            s.resident_qubits += st.carved.count();
+            s.queue_depth += st.queue_depth();
+        }
+        s
+    }
+
+    /// The current resident regions of every device the scheduler has
+    /// seen, in first-seen device order.
+    pub fn snapshot(&self) -> Vec<DeviceSnapshot> {
+        self.devices
+            .lock()
+            .expect("device table lock")
+            .iter()
+            .map(|(_, device)| {
+                let st = device.lock().expect("device state lock");
+                DeviceSnapshot {
+                    device: st.graph.name().to_string(),
+                    device_qubits: st.graph.n_qubits(),
+                    resident_qubits: st.carved.count(),
+                    regions: st
+                        .regions
+                        .iter()
+                        .map(|r| RegionSnapshot {
+                            id: r.id,
+                            qubits: r.region.mask().to_vec(),
+                            busy: r.busy,
+                            queue_depth: r.queue.len(),
+                            jobs_served: r.jobs_served,
+                        })
+                        .collect(),
                 }
-                None => {
-                    let induced = Arc::new(graph.induced(region));
-                    let induced_fp = induced.fingerprint();
-                    sub_jobs.push(CompileJob::with_fingerprints(
-                        job.name.clone(),
-                        job.backend,
-                        (job.hamiltonian.clone(), job.content_fingerprints().0),
-                        (induced, induced_fp),
-                    ));
-                    origin.push((*index, Some((region.clone(), rkey))));
-                }
+            })
+            .collect()
+    }
+
+    /// The state for `graph` (fingerprint `fp`), created on first sight.
+    fn device(&self, graph: &Arc<CouplingGraph>, fp: u64) -> Arc<Mutex<DeviceState>> {
+        let mut devices = self.devices.lock().expect("device table lock");
+        if let Some((_, device)) = devices.iter().find(|(f, _)| *f == fp) {
+            return Arc::clone(device);
+        }
+        let device = Arc::new(Mutex::new(DeviceState {
+            graph: Arc::clone(graph),
+            regions: Vec::new(),
+            carved: QubitMask::empty(graph.n_qubits()),
+            next_region_id: 0,
+            next_ticket: 0,
+            parked: Vec::new(),
+        }));
+        devices.push((fp, Arc::clone(&device)));
+        device
+    }
+
+    /// Schedules a batch onto resident regions and returns after its first
+    /// placement round; see the module docs for the placement rules.
+    /// Every placed job, resident hit or not, and every whole-chip leftover
+    /// is a work item on `engine`'s pool, so `on_result` runs once per job
+    /// on the worker that answered it, with the contract of
+    /// [`Engine::submit_batch`].
+    pub fn submit_batch<F>(&self, engine: &Engine, jobs: Vec<CompileJob>, on_result: F)
+    where
+        F: Fn(JobResult) + Send + Sync + 'static,
+    {
+        let sink: Sink = Arc::new(on_result);
+        // Group by device identity, first-seen order.
+        let mut groups: Vec<(u64, Vec<PendingJob>)> = Vec::new();
+        for (index, job) in jobs.into_iter().enumerate() {
+            let fp = job.content_fingerprints().1;
+            let pending = PendingJob {
+                index,
+                width: job.hamiltonian.n_qubits,
+                job,
+                ticket: None,
+                starved: 0,
+            };
+            match groups.iter_mut().find(|(gfp, _)| *gfp == fp) {
+                Some((_, members)) => members.push(pending),
+                None => groups.push((fp, vec![pending])),
             }
         }
-        for &i in &leftover {
-            sub_jobs.push(jobs[i].clone());
-            origin.push((i, None));
+        for (fp, members) in groups {
+            let device = self.device(&members[0].job.graph, fp);
+            let mut st = device.lock().expect("device state lock");
+            // Wider than the device: the whole-chip fallback reports the
+            // compiler's own error.
+            let n = st.graph.n_qubits();
+            let (pending, leftover) = members.into_iter().partition(|p| p.width <= n);
+            let group = Group {
+                pending,
+                sink: Arc::clone(&sink),
+                pool: engine.queue_handle(),
+                totals: Arc::clone(&self.totals),
+                device: Arc::clone(&device),
+            };
+            group.round(&mut st, leftover);
+            push_gauges(&st);
         }
+    }
 
-        if !sub_jobs.is_empty() {
-            let sub_results = engine.compile_batch(sub_jobs);
-            for (mut result, (index, placed)) in sub_results.into_iter().zip(origin) {
-                result.index = index;
-                if let Some((region, rkey)) = placed {
-                    if result.error.is_none() {
-                        let relabeled = relabel_output(&result.output, &region);
-                        result.output = engine.cache().insert(rkey, relabeled);
-                    }
-                    result.cache_key = rkey;
-                    result.region = Some(region);
-                }
-                slots[index] = Some(result);
-            }
+    /// The blocking form of [`submit_batch`](RegionScheduler::submit_batch):
+    /// waits for every job and returns the results in submission order.
+    pub fn schedule_batch(&self, engine: &Engine, jobs: Vec<CompileJob>) -> ResidentBatch {
+        let total = jobs.len();
+        ResidentBatch {
+            results: collect_in_order(total, |sink| self.submit_batch(engine, jobs, sink)),
         }
-
-        let mut st = shared.state.lock().expect("device state lock");
-        for (_, rid, _) in &wave {
-            if let Some(r) = st.regions.iter_mut().find(|r| r.id == *rid) {
-                r.busy = false;
-                r.jobs_served += 1;
-            }
-        }
-        push_gauges(&st);
-        shared.released.notify_all();
     }
 }
 

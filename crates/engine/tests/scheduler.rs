@@ -12,6 +12,7 @@ use std::sync::Arc;
 use tetris_core::TetrisConfig;
 use tetris_engine::{
     slack_for_width, Backend, CompileJob, Engine, EngineConfig, JobResult, RegionScheduler,
+    SchedulerStats,
 };
 use tetris_pauli::mask::QubitMask;
 use tetris_pauli::{Hamiltonian, PauliBlock, PauliTerm};
@@ -93,6 +94,22 @@ fn reference(jobs: &[CompileJob]) -> Vec<(Region, u64)> {
         .collect()
 }
 
+/// Results compiled whole-chip rather than on a region.
+fn leftover(results: &[JobResult]) -> usize {
+    results.iter().filter(|r| r.region.is_none()).count()
+}
+
+/// `(carves performed, carves skipped, defrags, displaced)` between two
+/// scheduler snapshots.
+fn delta(before: SchedulerStats, after: SchedulerStats) -> (u64, u64, u64, u64) {
+    (
+        after.carves_performed - before.carves_performed,
+        after.carves_skipped - before.carves_skipped,
+        after.defrags - before.defrags,
+        after.displaced - before.displaced,
+    )
+}
+
 fn assert_matches_reference(results: &[JobResult], jobs: &[CompileJob]) {
     for (r, (region, digest)) in results.iter().zip(reference(jobs)) {
         assert_eq!(r.region.as_ref(), Some(&region), "{}", r.name);
@@ -107,24 +124,24 @@ fn resident_results_match_the_reference_and_repeats_skip_carving() {
     let resident_engine = engine(4);
 
     // Cold batch: every job carves a fresh region, one round.
+    let before = scheduler.stats();
     let first = scheduler.schedule_batch(&resident_engine, service_batch(&graph));
     assert_eq!(first.results.len(), 5);
     assert!(first.results.iter().all(|r| r.error.is_none()));
-    assert_eq!(first.report.rounds, 1);
-    assert_eq!(first.report.carves_performed, 5);
-    assert_eq!(first.report.carves_skipped, 0);
-    assert_eq!(first.report.leftover, 0);
+    assert_eq!(delta(before, scheduler.stats()), (5, 0, 0, 0));
+    assert_eq!(leftover(&first.results), 0);
 
     // Bit-identical to the independent reference: the cold whole-group
     // carve is a direct carve of the grant sizes, so regions — and
-    // therefore relabeled artifacts — agree digest for digest.
+    // therefore relabeled artifacts — agree digest for digest. Only the
+    // first round's one-shot carve of all five grants yields them.
     assert_matches_reference(&first.results, &service_batch(&graph));
 
     // Repeat-shape traffic: zero carves, every placement served by the
     // free-list, every artifact straight from the resident cache.
+    let before = scheduler.stats();
     let again = scheduler.schedule_batch(&resident_engine, service_batch(&graph));
-    assert_eq!(again.report.carves_performed, 0);
-    assert_eq!(again.report.carves_skipped, 5);
+    assert_eq!(delta(before, scheduler.stats()), (0, 5, 0, 0));
     assert!(again.results.iter().all(|r| r.cached));
     for (a, b) in first.results.iter().zip(&again.results) {
         assert_eq!(a.region, b.region);
@@ -144,9 +161,9 @@ fn resident_results_match_the_reference_and_repeats_skip_carving() {
     // A grown batch reuses what fits and carves only the new shape.
     let mut grown = service_batch(&graph);
     grown.push(job("svc5", 7, 5, &graph));
+    let before = scheduler.stats();
     let third = scheduler.schedule_batch(&resident_engine, grown);
-    assert_eq!(third.report.carves_skipped, 5);
-    assert_eq!(third.report.carves_performed, 1);
+    assert_eq!(delta(before, scheduler.stats()), (1, 5, 0, 0));
     assert!(third.results.iter().all(|r| r.error.is_none()));
 }
 
@@ -154,7 +171,7 @@ fn resident_results_match_the_reference_and_repeats_skip_carving() {
 fn per_region_fifo_serializes_contending_jobs() {
     // Two 4-qubit jobs on a 6-qubit grid: only one 4-region fits, so the
     // second job takes a ticket and runs on the same region one round
-    // later.
+    // later: one carve, then one skip when the ticket claims the region.
     let graph = Arc::new(CouplingGraph::grid(2, 3));
     let scheduler = RegionScheduler::with_default_config();
     let eng = engine(2);
@@ -163,11 +180,11 @@ fn per_region_fifo_serializes_contending_jobs() {
         vec![job("first", 4, 0, &graph), job("second", 4, 1, &graph)],
     );
     assert!(batch.results.iter().all(|r| r.error.is_none()));
-    assert_eq!(batch.report.rounds, 2);
-    assert_eq!(batch.report.carves_performed, 1);
-    assert_eq!(batch.report.carves_skipped, 1);
-    assert_eq!(batch.report.peak_queue_depth, 1);
-    assert_eq!(batch.report.leftover, 0);
+    assert_eq!(
+        delta(SchedulerStats::default(), scheduler.stats()),
+        (1, 1, 0, 0)
+    );
+    assert_eq!(leftover(&batch.results), 0);
     assert_eq!(
         batch.results[0].region, batch.results[1].region,
         "both jobs ran on the one region"
@@ -195,16 +212,16 @@ fn defragmenter_recarves_for_a_starved_wide_job() {
         .map(|i| job(&format!("tile{i}"), 3, i, &graph))
         .collect();
     let first = scheduler.schedule_batch(&eng, tiles);
-    assert_eq!(first.report.carves_performed, 4);
+    let tiled = scheduler.stats();
+    assert_eq!(tiled.carves_performed, 4);
     assert!(first.results.iter().all(|r| r.error.is_none()));
-    assert_eq!(scheduler.stats().resident_qubits, 12, "chip fully tiled");
+    assert_eq!(tiled.resident_qubits, 12, "chip fully tiled");
 
     let wide = scheduler.schedule_batch(&eng, vec![job("wide", 9, 7, &graph)]);
     let result = &wide.results[0];
     assert!(result.error.is_none(), "{:?}", result.error);
-    assert_eq!(wide.report.defrags, 1);
-    assert_eq!(wide.report.carves_performed, 1);
-    assert_eq!(wide.report.leftover, 0, "defrag made room — no fallback");
+    assert_eq!(delta(tiled, scheduler.stats()), (1, 0, 1, 0));
+    assert_eq!(leftover(&wide.results), 0, "defrag made room — no fallback");
     let region = result.region.as_ref().expect("placed after defrag");
     assert_eq!(region.len(), 9);
     assert!(graph.is_region_connected(region));
@@ -288,7 +305,7 @@ fn impossible_jobs_fall_back_whole_chip_with_a_clean_error() {
     assert!(batch.results[0].region.is_some());
     assert!(batch.results[1].error.is_some(), "too wide fails cleanly");
     assert!(batch.results[1].region.is_none());
-    assert_eq!(batch.report.leftover, 1);
+    assert_eq!(leftover(&batch.results), 1);
 }
 
 #[test]
@@ -298,7 +315,7 @@ fn region_batch_packs_disjoint_regions_on_130_node_heavy_hex() {
     let batch =
         RegionScheduler::with_default_config().schedule_batch(&engine(4), service_batch(&graph));
     assert_eq!(batch.results.len(), 5);
-    assert_eq!(batch.report.leftover, 0, "all five jobs fit");
+    assert_eq!(leftover(&batch.results), 0, "all five jobs fit");
 
     // Regions: connected, disjoint, sized to the job width (narrow jobs
     // get no slack).
@@ -402,7 +419,7 @@ fn batches_spanning_devices_keep_one_free_list_per_device() {
         ],
     );
     assert!(batch.results.iter().all(|r| r.error.is_none()));
-    assert_eq!(batch.report.carves_performed, 3);
+    assert_eq!(scheduler.stats().carves_performed, 3);
     let snapshot = scheduler.snapshot();
     assert_eq!(snapshot.len(), 2, "first-seen device order");
     assert_eq!(snapshot[0].regions.len(), 2, "line hosts jobs 0 and 2");
@@ -441,4 +458,72 @@ fn resident_cache_hits_reach_the_trace_ring() {
             r.name
         );
     }
+}
+
+#[test]
+fn submit_batch_delivers_region_jobs_on_named_pool_workers() {
+    // One batch covering every kind of placed job: a resident hit on a
+    // region a previous batch left free, a fresh region compile, and a
+    // whole-chip leftover (wider than the device, so it fails cleanly).
+    let graph = Arc::new(CouplingGraph::grid(3, 4));
+    let seed = || vec![job("hit", 3, 0, &graph)];
+    let batch = || {
+        vec![
+            job("hit", 3, 0, &graph),
+            job("fresh", 4, 1, &graph),
+            job("leftover", 13, 2, &graph),
+        ]
+    };
+
+    // The blocking form on its own scheduler and engine is the reference.
+    let reference = {
+        let scheduler = RegionScheduler::with_default_config();
+        let eng = engine(2);
+        scheduler.schedule_batch(&eng, seed());
+        scheduler.schedule_batch(&eng, batch()).results
+    };
+
+    let scheduler = RegionScheduler::with_default_config();
+    let eng = engine(2);
+    scheduler.schedule_batch(&eng, seed());
+    let (tx, rx) = std::sync::mpsc::channel();
+    scheduler.submit_batch(&eng, batch(), move |r| {
+        let thread = std::thread::current().name().map(str::to_string);
+        let _ = tx.send((r, thread));
+    });
+    let mut seen: Vec<(JobResult, Option<String>)> =
+        (0..3).map(|_| rx.recv().expect("result")).collect();
+    assert!(rx.recv().is_err(), "exactly one callback per job");
+    seen.sort_by_key(|(r, _)| r.index);
+
+    for (i, ((r, thread), want)) in seen.iter().zip(&reference).enumerate() {
+        assert_eq!(r.index, i, "every index delivered once");
+        let thread = thread.as_deref().unwrap_or("<unnamed>");
+        assert!(
+            thread.starts_with("tetris-worker-"),
+            "{} delivered on `{thread}`, not a pool worker",
+            r.name
+        );
+        assert_eq!(r.region, want.region, "{}", r.name);
+        assert_eq!(r.cached, want.cached, "{}", r.name);
+        assert_eq!(r.error.is_some(), want.error.is_some(), "{}", r.name);
+        assert_eq!(
+            r.output.stats_digest(),
+            want.output.stats_digest(),
+            "{}",
+            r.name
+        );
+    }
+    let (hit, fresh, wide) = (&seen[0].0, &seen[1].0, &seen[2].0);
+    assert!(hit.cached && hit.region.is_some(), "resident hit");
+    assert!(
+        !fresh.cached && fresh.region.is_some(),
+        "fresh region compile"
+    );
+    assert!(
+        wide.error.is_some() && wide.region.is_none(),
+        "whole-chip leftover"
+    );
+    let stats = scheduler.stats();
+    assert_eq!((stats.carves_performed, stats.carves_skipped), (2, 1));
 }

@@ -25,7 +25,10 @@
 //!   stay alive for the next batch, repeat-shape traffic is served from
 //!   the free-list and the resident artifact cache without carving, and
 //!   contended regions queue jobs FIFO rather than failing over
-//!   whole-chip (`GET /regions` shows the live free-list). Returns
+//!   whole-chip (`GET /regions` shows the live free-list). Plain and
+//!   region batches share one completion sink: the pool worker that
+//!   answers a job lands its record and wakes its waiters, so no batch
+//!   spawns a thread. Returns
 //!   `{"job_ids": [...]}` — or, with `"stream": true`, a chunked
 //!   transfer-encoding response whose first frame is the `job_ids`
 //!   record and whose following frames are the full per-job result
@@ -655,66 +658,37 @@ fn post_batch(state: &Arc<AppState>, body: &[u8]) -> Outcome {
         }
     }
 
+    // One completion sink for plain and region batches: each result lands
+    // in the table and wakes its waiters on the pool worker that answered
+    // it, so long-polls and stream frames never wait for the slowest
+    // sibling, and no batch spawns a thread.
+    let sink_state = state.clone();
+    let sink_ids = ids.clone();
+    let on_result = move |result: JobResult| {
+        let id = sink_ids[result.index];
+        if let Some(path) = &sink_state.config.trace_log {
+            append_trace_log(path, &result);
+        }
+        let done_at = Instant::now();
+        {
+            let mut table = sink_state.jobs.lock().expect("job table lock");
+            // Only fill slots that still exist: a `DELETE`d pending job
+            // must not be resurrected into the table (its result still
+            // lands in the engine cache).
+            if let Some(record) = table.get_mut(&id) {
+                *record = JobRecord::Done {
+                    result: Box::new(result),
+                    done_at,
+                };
+            }
+        }
+        sink_state.inflight_jobs.fetch_sub(1, Ordering::AcqRel);
+        sink_state.notifier.job_done(id);
+    };
     if resident {
-        // Region batches complete as a unit (placement needs the whole
-        // batch): compile on a detached thread, then land every record and
-        // notify per job.
-        let worker_state = state.clone();
-        let worker_ids = ids.clone();
-        std::thread::spawn(move || {
-            let results = worker_state
-                .scheduler
-                .schedule_batch(&worker_state.engine, jobs)
-                .results;
-            if let Some(path) = &worker_state.config.trace_log {
-                append_trace_log(path, &results);
-            }
-            let done_at = Instant::now();
-            {
-                let mut table = worker_state.jobs.lock().expect("job table lock");
-                for (id, result) in worker_ids.iter().zip(results) {
-                    // Only fill slots that still exist: a `DELETE`d pending
-                    // job must not be resurrected into the table (its
-                    // result still lands in the engine cache).
-                    if let Some(record) = table.get_mut(id) {
-                        *record = JobRecord::Done {
-                            result: Box::new(result),
-                            done_at,
-                        };
-                    }
-                }
-            }
-            worker_state
-                .inflight_jobs
-                .fetch_sub(worker_ids.len() as u64, Ordering::AcqRel);
-            for id in worker_ids {
-                worker_state.notifier.job_done(id);
-            }
-        });
+        state.scheduler.submit_batch(&state.engine, jobs, on_result);
     } else {
-        // Plain batches push per job: each result lands in the table and
-        // wakes its waiters the moment the pool finishes it, so long-polls
-        // and stream frames never wait for the slowest sibling.
-        let sink_state = state.clone();
-        let sink_ids = ids.clone();
-        state.engine.submit_batch(jobs, move |result| {
-            let id = sink_ids[result.index];
-            if let Some(path) = &sink_state.config.trace_log {
-                append_trace_log(path, std::slice::from_ref(&result));
-            }
-            let done_at = Instant::now();
-            {
-                let mut table = sink_state.jobs.lock().expect("job table lock");
-                if let Some(record) = table.get_mut(&id) {
-                    *record = JobRecord::Done {
-                        result: Box::new(result),
-                        done_at,
-                    };
-                }
-            }
-            sink_state.inflight_jobs.fetch_sub(1, Ordering::AcqRel);
-            sink_state.notifier.job_done(id);
-        });
+        state.engine.submit_batch(jobs, on_result);
     }
 
     if stream {
@@ -739,31 +713,28 @@ pub(crate) fn job_ids_body(ids: &[u64]) -> String {
     format!("{{ \"job_ids\": {ids:?} }}\n")
 }
 
-/// Appends one JSONL record per result to the trace log. Failures are
+/// Appends one JSONL record for `r` to the trace log. Failures are
 /// counted and swallowed — tracing must never fail a compile.
-fn append_trace_log(path: &std::path::Path, results: &[JobResult]) {
+fn append_trace_log(path: &std::path::Path, r: &JobResult) {
     let unix_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
         .unwrap_or(0);
-    let mut lines = String::new();
-    for r in results {
-        lines.push_str(&format!(
-            "{{ \"unix_ms\": {unix_ms}, \"name\": \"{}\", \"compiler\": \"{}\", \
-             \"cached\": {}, \"error\": {}, \"engine_seconds\": {:.6}, \"stages\": {} }}\n",
-            escape(&r.name),
-            escape(&r.compiler),
-            r.cached,
-            r.error.is_some(),
-            r.engine_seconds,
-            stages_json(&r.stages),
-        ));
-    }
+    let line = format!(
+        "{{ \"unix_ms\": {unix_ms}, \"name\": \"{}\", \"compiler\": \"{}\", \
+         \"cached\": {}, \"error\": {}, \"engine_seconds\": {:.6}, \"stages\": {} }}\n",
+        escape(&r.name),
+        escape(&r.compiler),
+        r.cached,
+        r.error.is_some(),
+        r.engine_seconds,
+        stages_json(&r.stages),
+    );
     let written = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)
-        .and_then(|mut f| f.write_all(lines.as_bytes()));
+        .and_then(|mut f| f.write_all(line.as_bytes()));
     if written.is_err() {
         tetris_obs::global()
             .counter("tetris_trace_log_errors_total", &[])

@@ -16,6 +16,10 @@ use tetris_server::{AppState, CompileServer, ServerConfig};
 /// 24-qubit 3-regular MaxCut through the full tetris pipeline on the
 /// 65-qubit heavy-hex device.
 const HEAVY: &str = r#"{"workload": "REG3-24-s3", "backend": "tetris", "device": "heavy-hex"}"#;
+/// A slow job for region batches: carved down to a 28-qubit region,
+/// `HEAVY` compiles too fast to stay observably in flight, while the
+/// 25-qubit synthetic UCC workload takes over ten times longer on its own.
+const HEAVY_REGION: &str = r#"{"workload": "UCC-25", "backend": "tetris", "device": "heavy-hex"}"#;
 /// A fast job for tests that just need a completion.
 const TINY: &str = r#"{"workload": "REG3-8-s1", "backend": "maxcancel", "device": "ring-9"}"#;
 
@@ -446,15 +450,26 @@ fn connection_cap_sheds_new_sockets() {
 
 #[test]
 fn streamed_frames_arrive_before_batch_completes_and_match_get_job() {
+    // Plain and region batches share one completion path, so both stream
+    // each job's frame as soon as its worker answers it.
+    streamed_frames_arrive_before_batch_completes(false, HEAVY);
+    streamed_frames_arrive_before_batch_completes(true, HEAVY_REGION);
+}
+
+fn streamed_frames_arrive_before_batch_completes(resident: bool, heavy: &str) {
     let (addr, _) = start(ServerConfig::default(), 1);
     // Pre-seed the cache so the first streamed job completes instantly
-    // while the heavy one still occupies the single worker.
-    let (status, body) = request(&addr, "POST", "/batch", Some(&batch_body(&[TINY])));
+    // while the heavy one still occupies the single worker (with
+    // `resident`, the seed leaves TINY's region free and its relabeled
+    // artifact cached).
+    let seed = format!("{{ \"jobs\": [{TINY}], \"resident\": {resident} }}");
+    let (status, body) = request(&addr, "POST", "/batch", Some(&seed));
     assert_eq!(status, 200, "{body}");
     poll_done(&addr, 1);
 
     let mut stream = connect(&addr);
-    let batch = format!("{{ \"jobs\": [{TINY}, {HEAVY}], \"stream\": true }}");
+    let batch =
+        format!("{{ \"jobs\": [{TINY}, {heavy}], \"stream\": true, \"resident\": {resident} }}");
     send(&mut stream, &addr, "POST", "/batch", Some(&batch), true);
     let (status, head) = read_head(&mut stream);
     assert_eq!(status, 200, "{head}");
@@ -474,14 +489,14 @@ fn streamed_frames_arrive_before_batch_completes_and_match_get_job() {
     let first = read_chunk(&mut stream).expect("first result frame");
     assert_eq!(field(&first, "id"), Some("2"), "{first}");
     assert_eq!(field(&first, "status"), Some("done"), "{first}");
+    assert_eq!(first.contains("\"region\""), resident, "{first}");
     let (_, sibling) = request(&addr, "GET", "/job/3", None);
     assert_eq!(
         field(&sibling, "status"),
         Some("pending"),
         "the heavy sibling must still be in flight when the cached \
-         job's frame arrives: {sibling}"
+         job's frame arrives (resident: {resident}): {sibling}"
     );
-
     // Frame 3: the heavy job, then the terminating chunk.
     let second = read_chunk(&mut stream).expect("second result frame");
     assert_eq!(field(&second, "id"), Some("3"), "{second}");
