@@ -1,10 +1,11 @@
 //! Shared plumbing for the baseline compilers.
 
 use std::time::Instant;
-use tetris_circuit::{cancel_gates_commutative, Circuit, Metrics};
+use tetris_circuit::{cancel_gates_commutative, CancelReport, Circuit};
 use tetris_core::stats::CompileStats;
 use tetris_core::tree::{NodeKind, SynthesisTree};
 use tetris_obs::trace::{self, Stage};
+use tetris_pauli::PauliBlock;
 use tetris_router::{route, RouterConfig};
 use tetris_topology::{CouplingGraph, Layout};
 
@@ -48,25 +49,22 @@ pub fn chain_tree(order: &[usize]) -> SynthesisTree {
 }
 
 /// Finishes a hardware-oblivious pipeline: optionally cancel on the logical
-/// circuit, route onto `graph` from the trivial layout, optionally cancel
-/// again, and assemble [`CompileStats`].
+/// circuit, route onto `graph` from the trivial layout, then take the shared
+/// finishing step ([`CompileStats::finish`], peephole included) on the
+/// routed circuit. `blocks` are the workload's blocks.
 pub fn route_and_finish(
     name: &str,
     mut logical: Circuit,
-    original_cnots: usize,
+    blocks: &[PauliBlock],
     graph: &CouplingGraph,
     pre_route_cancel: bool,
-    post_route_cancel: bool,
     t0: Instant,
 ) -> BaselineResult {
-    let emitted_cnots = logical.raw_cnot_count();
-    let mut canceled_cnots = 0;
-    let mut canceled_1q = 0;
-    if pre_route_cancel {
-        let r = trace::timed(Stage::Optimize, || cancel_gates_commutative(&mut logical));
-        canceled_cnots += r.removed_cnots;
-        canceled_1q += r.removed_1q;
-    }
+    let earlier = if pre_route_cancel {
+        trace::timed(Stage::Optimize, || cancel_gates_commutative(&mut logical))
+    } else {
+        CancelReport::default()
+    };
     let routed = trace::timed(Stage::Routing, || {
         route(
             &logical,
@@ -75,48 +73,21 @@ pub fn route_and_finish(
             &RouterConfig::default(),
         )
     });
-    let final_layout = routed.final_layout;
     let mut circuit = routed.circuit;
-    let swaps_inserted = routed.swap_count;
-    let mut swaps_final = swaps_inserted;
-    if post_route_cancel {
-        let r = trace::timed(Stage::Optimize, || cancel_gates_commutative(&mut circuit));
-        canceled_cnots += r.removed_cnots;
-        canceled_1q += r.removed_1q;
-        swaps_final -= r.removed_swaps;
-    }
-    let stats = CompileStats {
-        original_cnots,
-        emitted_cnots,
-        canceled_cnots,
-        swaps_inserted,
-        swaps_final,
-        canceled_1q,
-        metrics: Metrics::of(&circuit),
-        compile_seconds: t0.elapsed().as_secs_f64(),
-    };
+    let stats = CompileStats::finish(&mut circuit, blocks, earlier, true, t0);
     BaselineResult {
         name: name.to_string(),
         circuit,
         stats,
-        final_layout: Some(final_layout),
+        final_layout: Some(routed.final_layout),
     }
-}
-
-/// Greedy similarity chaining of a block's strings (Paulihedral's
-/// lexicographic-style intra-block ordering). Shared by every baseline so
-/// that string order never confounds the synthesis comparison; delegates to
-/// the word-parallel, index-based
-/// [`tetris_pauli::block::greedy_similarity_order`].
-pub fn paulihedral_order(block: &tetris_pauli::PauliBlock) -> tetris_pauli::PauliBlock {
-    tetris_pauli::block::greedy_similarity_order(block)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tetris_core::emit::emit_string;
-    use tetris_pauli::PauliString;
+    use tetris_pauli::{PauliString, PauliTerm};
     use tetris_sim::Statevector;
 
     #[test]
@@ -151,7 +122,8 @@ mod tests {
         emit_string(&t, &p, 0.4, &mut logical);
         let graph = CouplingGraph::line(5);
         let orig = logical.raw_cnot_count();
-        let r = route_and_finish("t", logical, orig, &graph, true, true, Instant::now());
+        let block = PauliBlock::new(vec![PauliTerm::new(p, 0.4)], 1.0, "b");
+        let r = route_and_finish("t", logical, &[block], &graph, true, Instant::now());
         assert!(r.circuit.is_hardware_compliant(&graph));
         assert_eq!(r.stats.original_cnots, orig);
         assert_eq!(

@@ -18,6 +18,7 @@ use crate::common::{chain_tree, route_and_finish, BaselineResult};
 use std::time::Instant;
 use tetris_circuit::Circuit;
 use tetris_core::emit::emit_string;
+use tetris_obs::trace::{self, Stage};
 use tetris_pauli::Hamiltonian;
 use tetris_topology::CouplingGraph;
 
@@ -33,21 +34,19 @@ pub enum OptLevel {
 
 /// Synthesizes the *logical* circuit: one index-ordered ladder per string,
 /// no block awareness.
-pub fn logical_circuit(hamiltonian: &Hamiltonian) -> (Circuit, usize) {
+pub fn logical_circuit(hamiltonian: &Hamiltonian) -> Circuit {
     let mut circuit = Circuit::new(hamiltonian.n_qubits);
-    let mut original = 0usize;
     for block in &hamiltonian.blocks {
         for term in &block.terms {
             if term.string.is_identity() {
                 continue;
             }
-            original += 2 * (term.string.weight() - 1);
             let order: Vec<usize> = term.string.support().collect();
             let tree = chain_tree(&order);
             emit_string(&tree, &term.string, block.angle * term.coeff, &mut circuit);
         }
     }
-    (circuit, original)
+    circuit
 }
 
 /// Full generic pipeline at the given optimization level.
@@ -57,7 +56,7 @@ pub fn compile(
     level: OptLevel,
 ) -> BaselineResult {
     let t0 = Instant::now();
-    let (logical, original) = logical_circuit(hamiltonian);
+    let logical = trace::timed(Stage::Synthesis, || logical_circuit(hamiltonian));
     let name = match level {
         OptLevel::Native => "TKet+TKetO2",
         OptLevel::PostRouteOnly => "TKet+QiskitO3",
@@ -65,10 +64,9 @@ pub fn compile(
     route_and_finish(
         name,
         logical,
-        original,
+        &hamiltonian.blocks,
         graph,
         level == OptLevel::Native,
-        true,
         t0,
     )
 }
@@ -99,8 +97,8 @@ mod tests {
     #[test]
     fn ladder_synthesis_counts() {
         let h = ham(4, vec![vec![("XZZY", 0.5), ("YZZX", -0.5)]]);
-        let (c, orig) = logical_circuit(&h);
-        assert_eq!(orig, 12);
+        let c = logical_circuit(&h);
+        assert_eq!(h.naive_cnot_count(), 12);
         assert_eq!(c.raw_cnot_count(), 12);
     }
 
@@ -115,7 +113,8 @@ mod tests {
                 vec![("XZZYI", 0.5), ("YZZXI", -0.5)],
             ],
         );
-        let (mut generic, orig) = logical_circuit(&h);
+        let mut generic = logical_circuit(&h);
+        let orig = h.naive_cnot_count();
         let g_cancel = tetris_circuit::cancel_gates(&mut generic).removed_cnots;
         let max = crate::max_cancel::max_cancel_ratio(&h);
         assert!(

@@ -18,8 +18,16 @@
 //! * [`qaoa_2qan`] — a 2QAN-lite compiler for 2-local Hamiltonians:
 //!   annealed placement + executable-first scheduling (Fig. 23).
 //!
-//! Every baseline reports the same [`tetris_core::CompileStats`] as the
-//! Tetris compiler, so tables and figures compare like for like.
+//! Every baseline ends with the same finishing step as the Tetris compiler,
+//! [`tetris_core::CompileStats::finish`] (shared peephole pass, one
+//! measurement of the final circuit, the naive CNOT count of the input as
+//! the Eq. 2 denominator), so tables and figures compare like for like.
+//! Each baseline attributes its own phases to the
+//! [`tetris_obs::trace::Stage`]s: Paulihedral's tree growth to
+//! `Clustering` and its emission to `Synthesis`; the logical circuits of
+//! TKet, max_cancel and PCOAST to `Synthesis` (PCOAST's block chain to
+//! `Scheduling`) and their router to `Routing`; 2QAN's placement to
+//! `Clustering` and its emission loop to `Routing`.
 
 #![warn(missing_docs)]
 
@@ -30,4 +38,4 @@ pub mod paulihedral;
 pub mod pcoast_like;
 pub mod qaoa_2qan;
 
-pub use common::{paulihedral_order, BaselineResult};
+pub use common::BaselineResult;

@@ -9,9 +9,10 @@
 
 use crate::common::{chain_tree, route_and_finish, BaselineResult};
 use std::time::Instant;
-use tetris_circuit::{cancel_gates_commutative, Circuit, Metrics};
-use tetris_core::emit::emit_block;
-use tetris_pauli::ir::TetrisBlock;
+use tetris_circuit::{cancel_gates_commutative, Circuit};
+use tetris_core::emit::{emit_block, split_uniform_groups};
+use tetris_obs::trace::{self, Stage};
+use tetris_pauli::block::greedy_similarity_order;
 use tetris_pauli::Hamiltonian;
 use tetris_topology::CouplingGraph;
 
@@ -22,25 +23,17 @@ use tetris_topology::CouplingGraph;
 /// deep (cancelable) end. Block-level leaf qubits are maximally stable, so
 /// this generalizes "leaf section at the bottom" (Fig. 4a) to the partial
 /// commonality that dominates Bravyi-Kitaev blocks.
-pub fn logical_circuit(hamiltonian: &Hamiltonian) -> (Circuit, usize) {
+pub fn logical_circuit(hamiltonian: &Hamiltonian) -> Circuit {
     let mut circuit = Circuit::new(hamiltonian.n_qubits);
-    let mut original_cnots = 0usize;
     for block in &hamiltonian.blocks {
-        let tb = TetrisBlock::analyze(crate::paulihedral_order(block));
-        original_cnots += tb
-            .block
-            .terms
-            .iter()
-            .map(|t| 2 * t.string.weight().saturating_sub(1))
-            .sum::<usize>();
-        for sub in tetris_core::emit::split_uniform_groups(&tb.block) {
-            let sub = TetrisBlock::analyze(crate::paulihedral_order(&sub)).block;
+        for sub in split_uniform_groups(&greedy_similarity_order(block)) {
+            let sub = greedy_similarity_order(&sub);
             let order = stability_chain(&sub);
             let tree = chain_tree(&order);
             emit_block(&tree, &sub, &mut circuit);
         }
     }
-    (circuit, original_cnots)
+    circuit
 }
 
 /// Support qubits ordered most-stable-first (deep end of the chain first):
@@ -71,7 +64,8 @@ pub fn stability_chain(block: &tetris_pauli::PauliBlock) -> Vec<usize> {
 /// The maximal logical cancellation ratio of a workload — the paper's
 /// "max_cancel" series in Figs. 2 and 17. No routing is involved.
 pub fn max_cancel_ratio(hamiltonian: &Hamiltonian) -> f64 {
-    let (mut circuit, original) = logical_circuit(hamiltonian);
+    let mut circuit = logical_circuit(hamiltonian);
+    let original = hamiltonian.naive_cnot_count();
     let report = cancel_gates_commutative(&mut circuit);
     if original == 0 {
         0.0
@@ -85,10 +79,8 @@ pub fn max_cancel_ratio(hamiltonian: &Hamiltonian) -> f64 {
 /// to solve the hardware connectivity constraint").
 pub fn compile(hamiltonian: &Hamiltonian, graph: &CouplingGraph) -> BaselineResult {
     let t0 = Instant::now();
-    let (logical, original_cnots) = logical_circuit(hamiltonian);
-    let mut r = route_and_finish("max_cancel", logical, original_cnots, graph, true, true, t0);
-    r.stats.metrics = Metrics::of(&r.circuit);
-    r
+    let logical = trace::timed(Stage::Synthesis, || logical_circuit(hamiltonian));
+    route_and_finish("max_cancel", logical, &hamiltonian.blocks, graph, true, t0)
 }
 
 #[cfg(test)]
@@ -121,8 +113,8 @@ mod tests {
         // The motivating example: Y0ZZZY4 + X0ZZZX4 with the leaf chain at
         // the bottom cancels 4 CNOTs (Fig. 3c).
         let h = ham(5, vec![vec![("YZZZY", 0.5), ("XZZZX", -0.5)]]);
-        let (mut c, orig) = logical_circuit(&h);
-        assert_eq!(orig, 16);
+        let mut c = logical_circuit(&h);
+        assert_eq!(h.naive_cnot_count(), 16);
         let report = cancel_gates_commutative(&mut c);
         assert!(
             report.removed_cnots >= 4,

@@ -13,18 +13,22 @@
 
 use crate::common::BaselineResult;
 use std::time::Instant;
-use tetris_circuit::{cancel_gates_commutative, Circuit, Metrics};
+use tetris_circuit::{CancelReport, Circuit};
 use tetris_core::cluster::{bfs_avoiding, swap_along};
-use tetris_core::emit::emit_block;
+use tetris_core::emit::{emit_block, split_uniform_groups};
 use tetris_core::stats::CompileStats;
 use tetris_core::tree::{NodeKind, SynthesisTree};
+use tetris_obs::trace::{self, Stage};
+use tetris_pauli::block::greedy_similarity_order;
 use tetris_pauli::mask::QubitMask;
 use tetris_pauli::Hamiltonian;
 use tetris_topology::{CouplingGraph, Layout};
 
 /// Compiles `hamiltonian` in the Paulihedral style. Set `post_optimize`
 /// to mirror the paper's "PH + Qiskit O3" (true) or bare "PH" (false)
-/// configurations of Fig. 16.
+/// configurations of Fig. 16. Tree growth (with its SWAPs) is attributed
+/// to [`Stage::Clustering`], string ordering and emission to
+/// [`Stage::Synthesis`].
 pub fn compile(
     hamiltonian: &Hamiltonian,
     graph: &CouplingGraph,
@@ -35,43 +39,27 @@ pub fn compile(
     assert!(n <= graph.n_qubits(), "workload wider than device");
     let mut layout = Layout::trivial(n, graph.n_qubits());
     let mut circuit = Circuit::new(graph.n_qubits());
-    let mut original_cnots = 0usize;
 
     for block in &hamiltonian.blocks {
-        let ordered = order_by_similarity(block);
-        for sub in split_uniform(&ordered) {
-            original_cnots += sub
-                .terms
-                .iter()
-                .map(|t| 2 * t.string.weight().saturating_sub(1))
-                .sum::<usize>();
-            let support = sub.union_support();
-            let tree = grow_from_connected_component(graph, &mut layout, &mut circuit, &support);
-            emit_block(&tree, &sub, &mut circuit);
+        let subs = trace::timed(Stage::Synthesis, || {
+            split_uniform_groups(&greedy_similarity_order(block))
+        });
+        for sub in subs {
+            let tree = trace::timed(Stage::Clustering, || {
+                let support = sub.union_support();
+                grow_from_connected_component(graph, &mut layout, &mut circuit, &support)
+            });
+            trace::timed(Stage::Synthesis, || emit_block(&tree, &sub, &mut circuit));
         }
     }
 
-    let emitted_cnots = circuit.raw_cnot_count();
-    let swaps_inserted = circuit.swap_count();
-    let mut canceled_cnots = 0;
-    let mut canceled_1q = 0;
-    let mut swaps_final = swaps_inserted;
-    if post_optimize {
-        let r = cancel_gates_commutative(&mut circuit);
-        canceled_cnots = r.removed_cnots;
-        canceled_1q = r.removed_1q;
-        swaps_final -= r.removed_swaps;
-    }
-    let stats = CompileStats {
-        original_cnots,
-        emitted_cnots,
-        canceled_cnots,
-        swaps_inserted,
-        swaps_final,
-        canceled_1q,
-        metrics: Metrics::of(&circuit),
-        compile_seconds: t0.elapsed().as_secs_f64(),
-    };
+    let stats = CompileStats::finish(
+        &mut circuit,
+        &hamiltonian.blocks,
+        CancelReport::default(),
+        post_optimize,
+        t0,
+    );
     BaselineResult {
         name: "Paulihedral".to_string(),
         circuit,
@@ -197,10 +185,6 @@ pub fn grow_from_connected_component(
     tree
 }
 
-use crate::common::paulihedral_order as order_by_similarity;
-
-use tetris_core::emit::split_uniform_groups as split_uniform;
-
 /// Exposed for Fig. 2's "max cancel vs PH" analysis: the cancellation ratio
 /// a block-list achieves under PH synthesis on the given device.
 pub fn cancel_ratio(hamiltonian: &Hamiltonian, graph: &CouplingGraph) -> f64 {
@@ -271,7 +255,7 @@ mod tests {
 
         let mut reference = input;
         for b in &h.blocks {
-            let ordered = order_by_similarity(b);
+            let ordered = greedy_similarity_order(b);
             for t in &ordered.terms {
                 reference.apply_pauli_exp(&t.string, ordered.angle * t.coeff);
             }

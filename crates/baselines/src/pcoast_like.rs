@@ -11,77 +11,80 @@
 //! overlap) synthesized with leaf-deep single chains, canceled logically,
 //! then routed from a trivial layout.
 
-use crate::common::{chain_tree, paulihedral_order, route_and_finish, BaselineResult};
+use crate::common::{chain_tree, route_and_finish, BaselineResult};
 use std::time::Instant;
 use tetris_circuit::Circuit;
-use tetris_core::emit::emit_block;
+use tetris_core::emit::{emit_block, split_uniform_groups};
+use tetris_obs::trace::{self, Stage};
+use tetris_pauli::block::greedy_similarity_order;
 use tetris_pauli::ir::TetrisBlock;
 use tetris_pauli::Hamiltonian;
 use tetris_topology::CouplingGraph;
 
 /// Synthesizes the logical PCOAST-like circuit: blocks are greedily chained
 /// by leaf-section similarity (Eq. 1), each synthesized as a leaf-deep
-/// chain.
-pub fn logical_circuit(hamiltonian: &Hamiltonian) -> (Circuit, usize) {
-    let blocks: Vec<TetrisBlock> = hamiltonian
-        .blocks
-        .iter()
-        .map(|b| TetrisBlock::analyze(paulihedral_order(b)))
-        .collect();
+/// chain. The block chain is attributed to [`Stage::Scheduling`], the
+/// emission to [`Stage::Synthesis`].
+pub fn logical_circuit(hamiltonian: &Hamiltonian) -> Circuit {
+    let (blocks, order) = trace::timed(Stage::Scheduling, || {
+        let blocks: Vec<TetrisBlock> = hamiltonian
+            .blocks
+            .iter()
+            .map(|b| TetrisBlock::analyze(greedy_similarity_order(b)))
+            .collect();
+        let order = block_chain(&blocks);
+        (blocks, order)
+    });
+    trace::timed(Stage::Synthesis, || {
+        let mut circuit = Circuit::new(hamiltonian.n_qubits);
+        for &bi in &order {
+            for sub in split_uniform_groups(&blocks[bi].block) {
+                let sub = greedy_similarity_order(&sub);
+                let chain = crate::max_cancel::stability_chain(&sub);
+                emit_block(&chain_tree(&chain), &sub, &mut circuit);
+            }
+        }
+        circuit
+    })
+}
 
-    // Greedy similarity chain over blocks (start at max active length).
-    // The unchained-block set is a packed mask — the per-round candidate
-    // scan walks set bits, and removal is one bit clear instead of a
-    // `retain` pass.
+/// Greedy similarity chain over blocks (start at max active length).
+/// The unchained-block set is a packed mask — the per-round candidate
+/// scan walks set bits, and removal is one bit clear instead of a
+/// `retain` pass.
+fn block_chain(blocks: &[TetrisBlock]) -> Vec<usize> {
     let mut remaining = tetris_pauli::mask::QubitMask::full(blocks.len());
     let mut order = Vec::with_capacity(blocks.len());
-    if !remaining.is_empty() {
-        let first = remaining
+    let Some(first) = remaining
+        .iter()
+        .max_by_key(|&i| (blocks[i].active_length(), std::cmp::Reverse(i)))
+    else {
+        return order;
+    };
+    remaining.remove(first);
+    order.push(first);
+    while !remaining.is_empty() {
+        let last = *order.last().expect("non-empty");
+        // One word-parallel similarity evaluation per candidate per
+        // round (the comparator-driven form recomputed both sides on
+        // every comparison).
+        let (_, next) = remaining
             .iter()
-            .max_by_key(|&i| (blocks[i].active_length(), std::cmp::Reverse(i)))
+            .map(|i| (blocks[last].similarity(&blocks[i]), i))
+            .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(b.1.cmp(&a.1)))
             .expect("non-empty");
-        remaining.remove(first);
-        order.push(first);
-        while !remaining.is_empty() {
-            let last = *order.last().expect("non-empty");
-            // One word-parallel similarity evaluation per candidate per
-            // round (the comparator-driven form recomputed both sides on
-            // every comparison).
-            let (_, next) = remaining
-                .iter()
-                .map(|i| (blocks[last].similarity(&blocks[i]), i))
-                .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(b.1.cmp(&a.1)))
-                .expect("non-empty");
-            remaining.remove(next);
-            order.push(next);
-        }
+        remaining.remove(next);
+        order.push(next);
     }
-
-    let mut circuit = Circuit::new(hamiltonian.n_qubits);
-    let mut original = 0usize;
-    for &bi in &order {
-        let tb = &blocks[bi];
-        original += tb
-            .block
-            .terms
-            .iter()
-            .map(|t| 2 * t.string.weight().saturating_sub(1))
-            .sum::<usize>();
-        for sub in tetris_core::emit::split_uniform_groups(&tb.block) {
-            let sub = TetrisBlock::analyze(paulihedral_order(&sub)).block;
-            let chain = crate::max_cancel::stability_chain(&sub);
-            emit_block(&chain_tree(&chain), &sub, &mut circuit);
-        }
-    }
-    (circuit, original)
+    order
 }
 
 /// Full PCOAST-like pipeline: logical optimization, then routing (the
 /// paper's "PCOAST + Qiskit O3 for mapping/routing").
 pub fn compile(hamiltonian: &Hamiltonian, graph: &CouplingGraph) -> BaselineResult {
     let t0 = Instant::now();
-    let (logical, original) = logical_circuit(hamiltonian);
-    route_and_finish("PCOAST", logical, original, graph, true, true, t0)
+    let logical = logical_circuit(hamiltonian);
+    route_and_finish("PCOAST", logical, &hamiltonian.blocks, graph, true, t0)
 }
 
 #[cfg(test)]
@@ -95,7 +98,7 @@ mod tests {
         // PCOAST's defining property: best-in-class *logical* CNOT count
         // (Fig. 15b "PCOAST CNOTs" < "PH CNOTs").
         let h = Molecule::LiH.uccsd_hamiltonian(Encoding::JordanWigner);
-        let (mut logical, _) = logical_circuit(&h);
+        let mut logical = logical_circuit(&h);
         tetris_circuit::cancel_gates_commutative(&mut logical);
         let pcoast_logical = logical.raw_cnot_count();
 

@@ -17,14 +17,17 @@
 
 use crate::common::BaselineResult;
 use std::time::Instant;
-use tetris_circuit::{cancel_gates_commutative, Circuit, Gate, Metrics};
+use tetris_circuit::{CancelReport, Circuit, Gate};
 use tetris_core::stats::CompileStats;
+use tetris_obs::trace::{self, Stage};
 use tetris_pauli::rng::rngs::StdRng;
 use tetris_pauli::rng::{Rng, SeedableRng};
 use tetris_pauli::Hamiltonian;
 use tetris_topology::{CouplingGraph, Layout};
 
-/// Compiles a 2-local Hamiltonian (e.g. QAOA MaxCut cost layer).
+/// Compiles a 2-local Hamiltonian (e.g. QAOA MaxCut cost layer). The
+/// placement is attributed to [`Stage::Clustering`] and the emission loop,
+/// whose wall time is SWAP-search dominated, to [`Stage::Routing`].
 ///
 /// # Panics
 /// Panics if some block is not a single 2-qubit `ZZ`-like string.
@@ -42,12 +45,14 @@ pub fn compile(hamiltonian: &Hamiltonian, graph: &CouplingGraph, seed: u64) -> B
         assert_eq!(support.len(), 2, "2QAN expects 2-local terms");
         terms.push((support[0], support[1], b.angle * t.coeff));
     }
-    let original_cnots = 2 * terms.len();
 
     // 1. Annealed placement.
-    let mut layout = anneal_placement(graph, n, &terms, seed);
+    let mut layout = trace::timed(Stage::Clustering, || {
+        anneal_placement(graph, n, &terms, seed)
+    });
 
     // 2. Executable-first scheduling with SWAP unblocking.
+    let routing_span = trace::StageTimer::start(Stage::Routing);
     let mut circuit = Circuit::new(graph.n_qubits());
     let mut remaining: Vec<(usize, usize, f64)> = terms;
     while !remaining.is_empty() {
@@ -93,19 +98,15 @@ pub fn compile(hamiltonian: &Hamiltonian, graph: &CouplingGraph, seed: u64) -> B
         }
     }
 
-    let emitted_cnots = circuit.raw_cnot_count();
-    let swaps_inserted = circuit.swap_count();
-    let report = cancel_gates_commutative(&mut circuit);
-    let stats = CompileStats {
-        original_cnots,
-        emitted_cnots,
-        canceled_cnots: report.removed_cnots,
-        swaps_inserted,
-        swaps_final: swaps_inserted - report.removed_swaps,
-        canceled_1q: report.removed_1q,
-        metrics: Metrics::of(&circuit),
-        compile_seconds: t0.elapsed().as_secs_f64(),
-    };
+    routing_span.stop();
+
+    let stats = CompileStats::finish(
+        &mut circuit,
+        &hamiltonian.blocks,
+        CancelReport::default(),
+        true,
+        t0,
+    );
     BaselineResult {
         name: "2QAN".to_string(),
         circuit,

@@ -20,7 +20,7 @@ fn main() {
     });
 
     let h = Molecule::LiH.uccsd_hamiltonian(Encoding::JordanWigner);
-    let (logical, _) = max_cancel::logical_circuit(&h);
+    let logical = max_cancel::logical_circuit(&h);
     time_best_of("optimizer/cancel-LiH-logical", SAMPLES, || {
         let mut c = logical.clone();
         cancel_gates(&mut c)

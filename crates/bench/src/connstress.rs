@@ -145,7 +145,9 @@ impl ConnStress {
     }
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
+/// The `p`-th percentile of an ascending slice (nearest rank; 0 when
+/// empty).
+pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

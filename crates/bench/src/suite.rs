@@ -2,6 +2,7 @@
 //! `tetris bench-suite` CLI and the experiment binaries, plus a JSON report
 //! emitter (hand-rolled — the workspace carries no serde).
 
+use crate::connstress::percentile;
 use crate::workloads;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -9,7 +10,7 @@ use std::time::Instant;
 use tetris_core::TetrisConfig;
 use tetris_engine::{
     slack_for_width, Backend, CacheStats, CompileJob, Engine, EngineConfig, JobResult,
-    RegionScheduler,
+    RegionScheduler, ResidentBatch,
 };
 use tetris_obs::StageTimings;
 use tetris_pauli::encoder::Encoding;
@@ -254,7 +255,9 @@ pub fn run_shard_comparison(quick: bool, threads: usize) -> ShardComparison {
 /// [`RegionScheduler`], so it re-carves every time (its artifacts are
 /// cache hits); the resident side keeps one scheduler and serves every
 /// placement from the free-list and every artifact from the resident
-/// cache.
+/// cache. Each batch is timed on its own and the sides alternate on every
+/// repeat, so machine drift lands on both; the comparison is between the
+/// per-batch medians.
 #[derive(Debug, Clone)]
 pub struct ResidentComparison {
     /// The device both sides target.
@@ -263,10 +266,11 @@ pub struct ResidentComparison {
     pub jobs: usize,
     /// Timed repeat batches per side (the warm-up batch is untimed).
     pub batches: usize,
-    /// Wall-clock of `batches` repeats, each on a fresh scheduler.
-    pub per_batch_wall: f64,
-    /// Wall-clock of `batches` repeats through the resident scheduler.
-    pub resident_wall: f64,
+    /// Median wall-clock seconds of one repeat batch on a fresh scheduler.
+    pub per_batch_median: f64,
+    /// Median wall-clock seconds of one repeat batch through the resident
+    /// scheduler.
+    pub resident_median: f64,
     /// Scheduler carves across warm-up + timed batches.
     pub carves_performed: u64,
     /// Placements the scheduler served without carving.
@@ -287,25 +291,26 @@ impl ResidentComparison {
         self.carves_skipped as f64 / total as f64
     }
 
-    /// Per-batch-over-resident speedup on the timed repeats.
+    /// Per-batch-over-resident speedup of the median repeat.
     pub fn speedup(&self) -> f64 {
-        if self.resident_wall <= 0.0 {
+        if self.resident_median <= 0.0 {
             return 0.0;
         }
-        self.per_batch_wall / self.resident_wall
+        self.per_batch_median / self.resident_median
     }
 }
 
 /// Runs the resident comparison: one warm-up submission on each side (so
 /// neither side pays cold compiles inside the timed window), then
-/// `batches` timed repeats. Both engines are separate and equally sized.
+/// `batches` individually timed repeats per side, alternating which side
+/// goes first. Both engines are separate and equally sized.
 ///
 /// # Panics
 /// Panics if any job fails on either side — the batch is the same
 /// always-fits batch the shard comparison uses.
 pub fn run_resident_comparison(quick: bool, threads: usize) -> ResidentComparison {
     let graph = shard_device();
-    let batches = if quick { 10 } else { 30 };
+    let batches = if quick { 50 } else { 150 };
     // Build the workloads once and clone per submission (inputs are
     // `Arc`-shared, so a clone is pointer bumps): the timed loops compare
     // the two sides' scheduling, not repeated Hamiltonian construction.
@@ -319,44 +324,52 @@ pub fn run_resident_comparison(quick: bool, threads: usize) -> ResidentCompariso
             cache_max_bytes: None,
         })
     };
-
-    // Per-batch side: warm once, then time the repeats. The artifacts are
-    // cache hits, but every submission's fresh scheduler re-carves.
-    let per_batch_engine = fresh_engine();
     eprintln!(
-        "[bench-suite] resident comparison: {n_jobs} jobs × {batches} batches on {} — fresh scheduler per batch…",
+        "[bench-suite] resident comparison: {n_jobs} jobs × {batches} batches on {} — \
+         fresh scheduler per batch vs one resident scheduler…",
         graph.name()
     );
-    let per_batch =
-        || RegionScheduler::with_default_config().schedule_batch(&per_batch_engine, jobs.clone());
-    let warm_per_batch = per_batch();
-    assert!(
-        warm_per_batch.results.iter().all(|r| r.error.is_none()),
-        "per-batch warm-up failed"
-    );
-    let t0 = Instant::now();
-    for _ in 0..batches {
-        let b = per_batch();
-        assert!(b.results.iter().all(|r| r.error.is_none()));
-    }
-    let per_batch_wall = t0.elapsed().as_secs_f64();
 
-    // Resident side: the warm-up batch carves the regions; every timed
-    // repeat reuses them and hits the resident artifact cache.
+    // Per-batch side: the artifacts are cache hits after the warm-up, but
+    // every submission's fresh scheduler re-carves. Resident side: the
+    // warm-up batch carves the regions; every repeat reuses them and hits
+    // the resident artifact cache.
+    let per_batch_engine = fresh_engine();
     let resident_engine = fresh_engine();
     let scheduler = RegionScheduler::with_default_config();
-    eprintln!("[bench-suite] resident comparison: resident scheduler…");
-    let warm_resident = scheduler.schedule_batch(&resident_engine, jobs.clone());
-    assert!(
-        warm_resident.results.iter().all(|r| r.error.is_none()),
-        "resident warm-up failed"
-    );
-    let t0 = Instant::now();
-    for _ in 0..batches {
-        let b = scheduler.schedule_batch(&resident_engine, jobs.clone());
-        assert!(b.results.iter().all(|r| r.error.is_none()));
+    let per_batch =
+        || RegionScheduler::with_default_config().schedule_batch(&per_batch_engine, jobs.clone());
+    let resident = || scheduler.schedule_batch(&resident_engine, jobs.clone());
+    let warm_per_batch = per_batch();
+    let warm_resident = resident();
+    for (side, warm) in [("per-batch", &warm_per_batch), ("resident", &warm_resident)] {
+        assert!(
+            warm.results.iter().all(|r| r.error.is_none()),
+            "{side} warm-up failed"
+        );
     }
-    let resident_wall = t0.elapsed().as_secs_f64();
+    let time = |side: &dyn Fn() -> ResidentBatch| {
+        let t0 = Instant::now();
+        let b = side();
+        let secs = t0.elapsed().as_secs_f64();
+        assert!(b.results.iter().all(|r| r.error.is_none()));
+        secs
+    };
+    let mut per_batch_secs = Vec::with_capacity(batches);
+    let mut resident_secs = Vec::with_capacity(batches);
+    for i in 0..batches {
+        if i % 2 == 0 {
+            per_batch_secs.push(time(&per_batch));
+            resident_secs.push(time(&resident));
+        } else {
+            resident_secs.push(time(&resident));
+            per_batch_secs.push(time(&per_batch));
+        }
+    }
+    per_batch_secs.sort_by(f64::total_cmp);
+    resident_secs.sort_by(f64::total_cmp);
+    let per_batch_median = percentile(&per_batch_secs, 50.0);
+    let resident_median = percentile(&resident_secs, 50.0);
 
     // Bit-identicality: both sides must reproduce the independent
     // reference, digest for digest and region for region.
@@ -371,17 +384,19 @@ pub fn run_resident_comparison(quick: bool, threads: usize) -> ResidentCompariso
 
     let stats = scheduler.stats();
     eprintln!(
-        "[bench-suite] resident comparison: per-batch {per_batch_wall:.2}s vs resident {resident_wall:.2}s \
+        "[bench-suite] resident comparison: median batch per-batch {:.2}ms vs resident {:.2}ms \
          ({:.1}x, carve-skip {:.3})",
-        per_batch_wall / resident_wall.max(1e-9),
+        per_batch_median * 1e3,
+        resident_median * 1e3,
+        per_batch_median / resident_median.max(1e-9),
         stats.carve_skip_ratio(),
     );
     ResidentComparison {
         device: graph.name().to_string(),
         jobs: n_jobs,
         batches,
-        per_batch_wall,
-        resident_wall,
+        per_batch_median,
+        resident_median,
         carves_performed: stats.carves_performed,
         carves_skipped: stats.carves_skipped,
         digest_match,
@@ -679,13 +694,13 @@ pub fn json_report(
         let _ = writeln!(sec, "    \"batches\": {},", r.batches);
         let _ = writeln!(
             sec,
-            "    \"per_batch_wall_seconds\": {:.6},",
-            r.per_batch_wall
+            "    \"per_batch_median_seconds\": {:.6},",
+            r.per_batch_median
         );
         let _ = writeln!(
             sec,
-            "    \"resident_wall_seconds\": {:.6},",
-            r.resident_wall
+            "    \"resident_median_seconds\": {:.6},",
+            r.resident_median
         );
         let _ = writeln!(sec, "    \"speedup\": {:.4},", r.speedup());
         let _ = writeln!(sec, "    \"carves_performed\": {},", r.carves_performed);
@@ -823,8 +838,8 @@ mod tests {
             device: "heavy-hex-7x16".into(),
             jobs: 6,
             batches: 10,
-            per_batch_wall: 2.0,
-            resident_wall: 0.5,
+            per_batch_median: 2.0,
+            resident_median: 0.5,
             carves_performed: 6,
             carves_skipped: 60,
             digest_match: true,

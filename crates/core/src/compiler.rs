@@ -6,8 +6,9 @@ use crate::schedule::{pick_first, pick_next};
 use crate::stats::CompileStats;
 use crate::synthesis::synthesize_block;
 use std::time::Instant;
-use tetris_circuit::{cancel_gates_commutative, Circuit, Metrics};
+use tetris_circuit::{CancelReport, Circuit};
 use tetris_obs::trace::{self, Stage};
+use tetris_pauli::block::greedy_similarity_order;
 use tetris_pauli::ir::{TetrisBlock, TetrisIr};
 use tetris_pauli::{Hamiltonian, PauliBlock};
 use tetris_topology::{CouplingGraph, Layout};
@@ -86,7 +87,6 @@ impl TetrisCompiler {
         };
         let mut layout = initial_layout.clone();
         let mut circuit = Circuit::new(graph.n_qubits());
-        let mut original_cnots = 0usize;
 
         let mut block_order = Vec::with_capacity(blocks.len());
         let mut emitted_blocks: Vec<PauliBlock> = Vec::with_capacity(blocks.len());
@@ -143,38 +143,17 @@ impl TetrisCompiler {
                     .clone(),
             );
             emitted_blocks.push(oriented);
-            original_cnots += b
-                .block
-                .terms
-                .iter()
-                .map(|t| 2 * t.string.weight().saturating_sub(1))
-                .sum::<usize>();
             block_order.push(next);
             last = Some(next);
         }
 
-        let emitted_cnots = circuit.raw_cnot_count();
-        let swaps_inserted = circuit.swap_count();
-        let mut canceled_cnots = 0;
-        let mut canceled_1q = 0;
-        let mut swaps_final = swaps_inserted;
-        if self.config.post_optimize {
-            let report = trace::timed(Stage::Optimize, || cancel_gates_commutative(&mut circuit));
-            canceled_cnots = report.removed_cnots;
-            canceled_1q = report.removed_1q;
-            swaps_final = swaps_inserted - report.removed_swaps;
-        }
-
-        let stats = CompileStats {
-            original_cnots,
-            emitted_cnots,
-            canceled_cnots,
-            swaps_inserted,
-            swaps_final,
-            canceled_1q,
-            metrics: Metrics::of(&circuit),
-            compile_seconds: t0.elapsed().as_secs_f64(),
-        };
+        let stats = CompileStats::finish(
+            &mut circuit,
+            ir.blocks.iter().map(|b| &b.block),
+            CancelReport::default(),
+            self.config.post_optimize,
+            t0,
+        );
         CompileResult {
             circuit,
             stats,
@@ -190,24 +169,17 @@ impl TetrisCompiler {
 /// sub-blocks (one synthesis tree cannot serve strings with different
 /// supports; Bravyi-Kitaev blocks mix supports routinely — see the emit
 /// module), and orders the strings of every block by greedy similarity
-/// chaining.
+/// chaining: consecutive strings differ in as few positions as possible,
+/// which maximizes both 1-qubit and 2-qubit boundary cancellation (the
+/// intra-block ordering Paulihedral pioneered and Tetris inherits).
 fn preprocess(blocks: &[TetrisBlock]) -> Vec<TetrisBlock> {
     let mut out = Vec::with_capacity(blocks.len());
     for b in blocks {
         for sub in split_uniform_groups(&b.block) {
-            out.push(TetrisBlock::analyze(order_terms_by_similarity(&sub)));
+            out.push(TetrisBlock::analyze(greedy_similarity_order(&sub)));
         }
     }
     out
-}
-
-/// Greedy similarity chaining of a block's strings: consecutive strings
-/// differ in as few positions as possible, which maximizes both 1-qubit
-/// and 2-qubit boundary cancellation (the intra-block ordering Paulihedral
-/// pioneered and Tetris inherits). Delegates to the word-parallel,
-/// index-based [`tetris_pauli::block::greedy_similarity_order`].
-fn order_terms_by_similarity(block: &PauliBlock) -> PauliBlock {
-    tetris_pauli::block::greedy_similarity_order(block)
 }
 
 #[cfg(test)]

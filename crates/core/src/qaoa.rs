@@ -26,7 +26,7 @@ use crate::emit::emit_string;
 use crate::stats::CompileStats;
 use crate::tree::{NodeKind, SynthesisTree};
 use std::time::Instant;
-use tetris_circuit::{cancel_gates_commutative, Circuit, Gate, Metrics};
+use tetris_circuit::{CancelReport, Circuit, Gate};
 use tetris_obs::trace::{self, Stage};
 use tetris_pauli::ir::{TetrisBlock, TetrisIr};
 use tetris_pauli::mask::QubitMask;
@@ -94,7 +94,6 @@ pub fn compile_qaoa(ir: &TetrisIr, graph: &CouplingGraph, config: &TetrisConfig)
     let initial_layout = trace::timed(Stage::Clustering, || place(graph, n, &pairs, 0x7e7215));
     let mut layout = initial_layout.clone();
     let mut circuit = Circuit::new(graph.n_qubits());
-    let mut original_cnots = 0usize;
 
     // 2/3. Executable-first scheduling with the SWAP-vs-bridge lookahead.
     let mut remaining: Vec<usize> = (0..terms.len()).collect();
@@ -159,7 +158,6 @@ pub fn compile_qaoa(ir: &TetrisIr, graph: &CouplingGraph, config: &TetrisConfig)
                 ),
             };
             if executable {
-                original_cnots += 2 * usize::from(terms[ti].v.is_some());
                 emit_term(
                     ti,
                     &layout,
@@ -234,7 +232,6 @@ pub fn compile_qaoa(ir: &TetrisIr, graph: &CouplingGraph, config: &TetrisConfig)
         let interior_free = path[1..path.len() - 1].iter().all(|&p| layout.is_free(p));
 
         if config.bridging && interior_free && future_helped < 2 {
-            original_cnots += 2;
             emit_term(
                 ti,
                 &layout,
@@ -253,27 +250,13 @@ pub fn compile_qaoa(ir: &TetrisIr, graph: &CouplingGraph, config: &TetrisConfig)
 
     routing_span.stop();
 
-    let emitted_cnots = circuit.raw_cnot_count();
-    let swaps_inserted = circuit.swap_count();
-    let mut canceled_cnots = 0;
-    let mut canceled_1q = 0;
-    let mut swaps_final = swaps_inserted;
-    if config.post_optimize {
-        let report = trace::timed(Stage::Optimize, || cancel_gates_commutative(&mut circuit));
-        canceled_cnots = report.removed_cnots;
-        canceled_1q = report.removed_1q;
-        swaps_final -= report.removed_swaps;
-    }
-    let stats = CompileStats {
-        original_cnots,
-        emitted_cnots,
-        canceled_cnots,
-        swaps_inserted,
-        swaps_final,
-        canceled_1q,
-        metrics: Metrics::of(&circuit),
-        compile_seconds: t0.elapsed().as_secs_f64(),
-    };
+    let stats = CompileStats::finish(
+        &mut circuit,
+        ir.blocks.iter().map(|b| &b.block),
+        CancelReport::default(),
+        config.post_optimize,
+        t0,
+    );
     CompileResult {
         circuit,
         stats,

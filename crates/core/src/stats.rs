@@ -1,7 +1,10 @@
 //! Compilation statistics — everything the paper's tables and figures
-//! report.
+//! report — and the finishing step every compiler ends with.
 
-use tetris_circuit::Metrics;
+use std::time::Instant;
+use tetris_circuit::{cancel_gates_commutative, CancelReport, Circuit, Metrics};
+use tetris_obs::trace::{self, Stage};
+use tetris_pauli::PauliBlock;
 
 /// Statistics of one compilation run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -22,12 +25,51 @@ pub struct CompileStats {
     pub canceled_1q: usize,
     /// Metrics of the final circuit (depth, duration, counts).
     pub metrics: Metrics,
-    /// Wall-clock compile time in seconds (synthesis + scheduling +
-    /// peephole).
+    /// Wall-clock compile time in seconds: every phase from the compiler's
+    /// entry to the finished stats — scheduling, placement, synthesis,
+    /// routing (the SWAP-routed baselines and the QAOA pass) and peephole.
     pub compile_seconds: f64,
 }
 
 impl CompileStats {
+    /// The finishing step of every compiler: runs the shared peephole pass
+    /// on `circuit` when `optimize` is set (attributed to
+    /// [`Stage::Optimize`]), measures the final circuit once and assembles
+    /// the stats.
+    ///
+    /// `blocks` are the workload's blocks in any order or grouping; they
+    /// only feed `original_cnots`. `earlier` is what a peephole pass
+    /// removed before `circuit` took its final shape (the
+    /// hardware-oblivious baselines cancel on the logical circuit before
+    /// routing), `CancelReport::default()` when nothing was. `t0` is when
+    /// the compile started.
+    pub fn finish<'a>(
+        circuit: &mut Circuit,
+        blocks: impl IntoIterator<Item = &'a PauliBlock>,
+        earlier: CancelReport,
+        optimize: bool,
+        t0: Instant,
+    ) -> CompileStats {
+        let emitted_cnots = circuit.raw_cnot_count() + earlier.removed_cnots;
+        let swaps_inserted = circuit.swap_count() + earlier.removed_swaps;
+        let report = if optimize {
+            trace::timed(Stage::Optimize, || cancel_gates_commutative(circuit))
+        } else {
+            CancelReport::default()
+        };
+        let metrics = Metrics::of(circuit);
+        CompileStats {
+            original_cnots: blocks.into_iter().map(PauliBlock::naive_cnot_count).sum(),
+            emitted_cnots,
+            canceled_cnots: earlier.removed_cnots + report.removed_cnots,
+            swaps_inserted,
+            swaps_final: metrics.swap_count,
+            canceled_1q: earlier.removed_1q + report.removed_1q,
+            metrics,
+            compile_seconds: t0.elapsed().as_secs_f64(),
+        }
+    }
+
     /// The paper's CNOT gate cancellation ratio (Eq. 2):
     /// `canceled / original`.
     pub fn cancel_ratio(&self) -> f64 {

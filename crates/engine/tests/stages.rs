@@ -1,12 +1,16 @@
 //! Stage-tracing acceptance tests: fresh compiles record a per-stage
-//! timeline whose busy walls track `engine_seconds`, the compile breakdown
-//! survives the disk tier, and disabling observability zeroes everything.
+//! timeline whose busy walls track `engine_seconds`, every compiler's
+//! phases land in a stage, the compile breakdown survives the disk tier,
+//! and disabling observability zeroes everything.
 
 use std::sync::{Arc, Mutex};
+use tetris_baselines::generic::OptLevel;
 use tetris_core::TetrisConfig;
-use tetris_engine::{Backend, CompileJob, Engine, EngineConfig};
-use tetris_obs::trace::Stage;
+use tetris_engine::{Backend, CompileBackend, CompileJob, Engine, EngineConfig};
+use tetris_obs::trace::{self, Stage};
+use tetris_pauli::encoder::Encoding;
 use tetris_pauli::qaoa::{maxcut_hamiltonian, Graph};
+use tetris_pauli::uccsd::synthetic_ucc;
 use tetris_topology::CouplingGraph;
 
 /// Serializes the tests in this binary: they toggle the process-wide
@@ -66,6 +70,57 @@ fn fresh_compiles_record_a_timeline_that_tracks_engine_seconds() {
             r.engine_seconds,
             r.name
         );
+    }
+}
+
+#[test]
+fn every_compiler_records_its_own_phases() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    tetris_obs::set_enabled(true);
+    let graph = CouplingGraph::heavy_hex_65();
+    let ucc = synthetic_ucc(8, Encoding::JordanWigner, 1);
+    let qaoa = maxcut_hamiltonian(&Graph::random_regular(10, 3, 1), "reg3-10");
+    use Stage::*;
+    let routed = [Synthesis, Routing, Optimize];
+    let cases = [
+        (
+            Backend::Paulihedral {
+                post_optimize: true,
+            },
+            &ucc,
+            &[Clustering, Synthesis, Optimize][..],
+        ),
+        (Backend::Generic(OptLevel::Native), &ucc, &routed),
+        (Backend::Generic(OptLevel::PostRouteOnly), &ucc, &routed),
+        (Backend::MaxCancel, &ucc, &routed),
+        (
+            Backend::PcoastLike,
+            &ucc,
+            &[Scheduling, Synthesis, Routing, Optimize],
+        ),
+        (
+            Backend::Tetris(TetrisConfig::default()),
+            &ucc,
+            &[Scheduling, Clustering, Synthesis, Optimize],
+        ),
+        (
+            Backend::Qaoa2qan { seed: 1 },
+            &qaoa,
+            &[Clustering, Routing, Optimize],
+        ),
+    ];
+    for (backend, h, stages) in cases {
+        trace::begin_scope();
+        backend.compile(h, &graph);
+        let timings = trace::take_scope();
+        for &stage in stages {
+            assert!(
+                timings.get(stage) > 0.0,
+                "{} recorded nothing under {}",
+                backend.name(),
+                stage.name()
+            );
+        }
     }
 }
 

@@ -34,17 +34,25 @@ pub enum Stage {
     /// Result-cache lookup (memory tier bookkeeping; disk decode time is
     /// attributed to [`Stage::DiskIo`]).
     CacheLookup,
-    /// Block scheduling — picking the next block to synthesize
-    /// (lookahead scoring).
+    /// Block scheduling — choosing the order blocks are synthesized in:
+    /// Tetris's lookahead scoring, PCOAST's greedy block chain.
     Scheduling,
-    /// Cluster formation: finding the tree center, gathering the cluster,
-    /// attaching leaves, SWAP insertion (Algorithm 1's placement half).
+    /// Placement: Tetris's cluster formation (tree center, gathering,
+    /// leaf attachment, SWAP insertion — Algorithm 1's placement half),
+    /// Paulihedral's connected-component tree growth with its SWAPs, and
+    /// the QAOA pass's and 2QAN's initial layout search.
     Clustering,
-    /// Circuit synthesis: orienting and emitting blocks onto the tree.
+    /// Circuit synthesis: ordering strings and emitting blocks onto a tree
+    /// (Tetris, Paulihedral), or the whole logical circuit of the
+    /// hardware-oblivious baselines (TKet, max_cancel, PCOAST).
     Synthesis,
-    /// SWAP routing (the baselines' SABRE-style router, QAOA bridging).
+    /// SWAP routing: the SABRE-style router of TKet, max_cancel and
+    /// PCOAST, and the executable-first emission loops of the QAOA pass
+    /// (bridging) and 2QAN.
     Routing,
-    /// Post-synthesis gate cancellation passes.
+    /// Gate cancellation passes: the shared peephole of every compiler's
+    /// finishing step, plus the logical pre-routing pass of the routed
+    /// baselines.
     Optimize,
     /// Disk-cache tier IO: encode+write on store, read+decode on load.
     DiskIo,

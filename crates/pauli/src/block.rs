@@ -95,10 +95,18 @@ impl PauliBlock {
         self.support_mask().count()
     }
 
-    /// Total weight (sum of string weights); the logical CNOT count of the
-    /// naively synthesized block is `Σ 2·(weight−1)`.
+    /// Total weight (sum of string weights).
     pub fn total_weight(&self) -> usize {
         self.terms.iter().map(|t| t.string.weight()).sum()
+    }
+
+    /// Logical CNOT count of the naive chain synthesis of this block —
+    /// `Σ 2·(w−1)` over its strings with weight `w ≥ 1`.
+    pub fn naive_cnot_count(&self) -> usize {
+        self.terms
+            .iter()
+            .map(|t| 2 * t.string.weight().saturating_sub(1))
+            .sum()
     }
 }
 
@@ -192,11 +200,7 @@ impl Hamiltonian {
     /// Logical CNOT count of the naive chain synthesis — `Σ 2·(w−1)` over all
     /// strings with weight `w ≥ 1` (Table I "#CNOT").
     pub fn naive_cnot_count(&self) -> usize {
-        self.blocks
-            .iter()
-            .flat_map(|b| &b.terms)
-            .map(|t| 2 * t.string.weight().saturating_sub(1))
-            .sum()
+        self.blocks.iter().map(PauliBlock::naive_cnot_count).sum()
     }
 
     /// Iterator over every term of every block.

@@ -2,10 +2,12 @@
 //! and assert the paper's qualitative results (the "shape" of the
 //! evaluation) plus internal stat consistency.
 
-use tetris::baselines::{generic, max_cancel, paulihedral, pcoast_like};
+use tetris::baselines::{generic, max_cancel, paulihedral, pcoast_like, qaoa_2qan, BaselineResult};
+use tetris::circuit::Metrics;
 use tetris::core::{TetrisCompiler, TetrisConfig};
 use tetris::pauli::encoder::Encoding;
 use tetris::pauli::molecules::Molecule;
+use tetris::pauli::qaoa::{maxcut_hamiltonian, Graph};
 use tetris::pauli::uccsd::synthetic_ucc;
 use tetris::topology::CouplingGraph;
 
@@ -101,24 +103,41 @@ fn synthetic_ucc_compiles_and_improves() {
 #[test]
 fn stats_identities_hold_for_every_compiler() {
     let h = Molecule::LiH.uccsd_hamiltonian(Encoding::JordanWigner);
+    let qaoa = maxcut_hamiltonian(&Graph::random_regular(12, 3, 5), "reg3-12");
     let g = CouplingGraph::heavy_hex_65();
+    let tetris = |h| {
+        let r = TetrisCompiler::new(TetrisConfig::default()).compile(h, &g);
+        (r.circuit, r.stats)
+    };
+    let baseline = |r: BaselineResult| (r.circuit, r.stats);
     let results = vec![
+        ("tetris", &h, tetris(&h)),
+        ("ph", &h, baseline(paulihedral::compile(&h, &g, true))),
+        ("ph-bare", &h, baseline(paulihedral::compile(&h, &g, false))),
+        ("max", &h, baseline(max_cancel::compile(&h, &g))),
+        ("pcoast", &h, baseline(pcoast_like::compile(&h, &g))),
         (
-            "tetris",
-            TetrisCompiler::new(TetrisConfig::default())
-                .compile(&h, &g)
-                .stats,
+            "tket-o2",
+            &h,
+            baseline(generic::compile(&h, &g, generic::OptLevel::Native)),
         ),
-        ("ph", paulihedral::compile(&h, &g, true).stats),
-        ("max", max_cancel::compile(&h, &g).stats),
-        ("pcoast", pcoast_like::compile(&h, &g).stats),
+        (
+            "tket-o3",
+            &h,
+            baseline(generic::compile(&h, &g, generic::OptLevel::PostRouteOnly)),
+        ),
+        ("tetris-qaoa", &qaoa, tetris(&qaoa)),
+        ("2qan", &qaoa, baseline(qaoa_2qan::compile(&qaoa, &g, 3))),
     ];
-    for (name, s) in results {
+    for (name, h, (circuit, s)) in results {
         assert_eq!(
             s.metrics.cnot_count,
             s.logical_cnots() + s.swap_cnots(),
             "{name}: CNOT breakdown must add up"
         );
+        assert_eq!(s.original_cnots, h.naive_cnot_count(), "{name}");
+        assert_eq!(s.metrics, Metrics::of(&circuit), "{name}");
+        assert_eq!(s.swaps_final, s.metrics.swap_count, "{name}");
         assert!(s.canceled_cnots <= s.emitted_cnots, "{name}");
         assert!(s.swaps_final <= s.swaps_inserted, "{name}");
         assert!(s.compile_seconds >= 0.0, "{name}");
