@@ -5,20 +5,17 @@
 //!
 //! The `eager` column reconstructs what the pre-CSR graph did at
 //! construction — build adjacency *and* materialize every all-pairs
-//! distance row — so `construct` vs `eager` is the lazy-row win. Two
-//! acceptance gates run in-bench (CI re-checks them against the committed
-//! reference JSON at ½ tolerance):
-//!
-//! * 1089q construction must be ≥ 10× faster than the eager baseline;
-//! * a 4096q device must construct without an O(V²) allocation
-//!   (`memory_footprint` stays under 1 MiB; the eager matrix would be
-//!   64 MiB).
+//! distance row — so `construct` vs `eager` is the lazy-row win. The
+//! bench exits non-zero unless every device's speedup is at least half
+//! its value in the committed `graph_ops.reference.json` and every
+//! `footprint_bytes` equals it exactly (a 4096q eager all-pairs matrix
+//! would be 64 MiB against the reference's 400 KB).
 //!
 //! `harness = false`; run with
 //! `cargo bench -p tetris-bench --bench graph_ops`
-//! (`-- --out FILE` writes the JSON report the CI regression gate reads).
+//! (`-- --out FILE` also writes the JSON report).
 
-use tetris_bench::timing::{best_of_secs, SAMPLES};
+use tetris_bench::timing::{best_of_secs, check_cells, SAMPLES};
 use tetris_pauli::rng::rngs::StdRng;
 use tetris_pauli::rng::{Rng, SeedableRng};
 use tetris_topology::{CouplingGraph, Region};
@@ -149,45 +146,44 @@ fn main() {
         );
     }
 
-    // Acceptance gates (CI re-checks the JSON against the committed
-    // reference at ½ tolerance; these hard floors fail the smoke run
-    // loudly rather than letting the lazy-row win silently erode).
-    let grid = cells.iter().find(|c| c.qubits == 1089).unwrap();
-    assert!(
-        grid.speedup() >= 10.0,
-        "1089q construction must beat the eager all-pairs baseline ≥ 10×, got {:.1}x",
-        grid.speedup()
-    );
-    let big = cells.iter().find(|c| c.qubits == 4096).unwrap();
-    assert!(
-        big.footprint_bytes < 1 << 20,
-        "4096q construction footprint {} is not O(V+E) — an eager all-pairs \
-         matrix would be {} bytes",
-        big.footprint_bytes,
-        4096usize * 4096 * 4
-    );
-
+    let mut json = String::from("{\n  \"cells\": [\n");
+    for (i, c) in cells.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{ \"device\": \"{}\", \"qubits\": {}, \"construct_us\": {:.2}, \
+             \"eager_us\": {:.2}, \"speedup\": {:.3}, \"first_row_us\": {:.2}, \
+             \"cached_row_ns\": {:.2}, \"induced_us\": {:.2}, \"footprint_bytes\": {} }}{}\n",
+            c.device,
+            c.qubits,
+            c.construct_us,
+            c.eager_us,
+            c.speedup(),
+            c.first_row_us,
+            c.cached_row_ns,
+            c.induced_us,
+            c.footprint_bytes,
+            if i + 1 < cells.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ]\n}\n");
     if let Some(path) = out_path {
-        let mut json = String::from("{\n  \"cells\": [\n");
-        for (i, c) in cells.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{ \"device\": \"{}\", \"qubits\": {}, \"construct_us\": {:.2}, \
-                 \"eager_us\": {:.2}, \"speedup\": {:.3}, \"first_row_us\": {:.2}, \
-                 \"cached_row_ns\": {:.2}, \"induced_us\": {:.2}, \"footprint_bytes\": {} }}{}\n",
-                c.device,
-                c.qubits,
-                c.construct_us,
-                c.eager_us,
-                c.speedup(),
-                c.first_row_us,
-                c.cached_row_ns,
-                c.induced_us,
-                c.footprint_bytes,
-                if i + 1 < cells.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(&path, json).expect("write bench report");
+        std::fs::write(&path, &json).expect("write bench report");
         println!("wrote {path}");
+    }
+
+    // Gate only the machine-portable numbers: the construct-vs-eager
+    // speedup (first-row and cached timings are sub-microsecond and too
+    // noisy) and the deterministic footprint, where an accidental O(V²)
+    // eager allocation would show up.
+    let failures = check_cells(
+        &json,
+        include_str!("../graph_ops.reference.json"),
+        &["device"],
+        &["footprint_bytes"],
+    );
+    for f in &failures {
+        eprintln!("graph_ops FAIL {f}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
     }
 }

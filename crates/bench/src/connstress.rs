@@ -21,6 +21,7 @@
 //! and no cache: the served digests must equal `CompileJob::run`'s, and
 //! the storm wall is reported over one direct compile of the anchor.
 
+use crate::suite::reference;
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -142,6 +143,37 @@ impl ConnStress {
     /// Whether the storm served exactly the reference artifacts.
     pub fn digest_match(&self) -> bool {
         !self.digests.is_empty() && self.digests == self.reference_digests
+    }
+
+    /// The gate, against the committed `connections.reference.json`: the
+    /// reactor absorbs the full 400-client storm (every client served,
+    /// nothing shed, every socket open at once), serves exactly the
+    /// digests of direct compiles, and keeps its wall within 2x the
+    /// reference's ratio over one direct anchor compile.
+    pub fn check(&self) -> Vec<String> {
+        let reference = reference(include_str!("../connections.reference.json"));
+        let (n, ref_n) = (self.connections, reference("connections"));
+        let (done, errors, peak) = (self.completed, self.errors, self.peak_connections);
+        let ratio = self.wall_ratio();
+        let limit = f64::max(2.0, 2.0 * reference("wall_ratio"));
+        let reference_storm = n as f64 >= ref_n && ref_n == 400.0;
+        let served = done == n && errors == 0;
+        let mut failures = Vec::new();
+        let mut require = |holds: bool, what: String| {
+            if !holds {
+                failures.push(format!("connections: {what}"));
+            }
+        };
+        require(reference_storm, format!("{n} clients, reference {ref_n}"));
+        require(served, format!("{done} of {n} served, {errors} errors"));
+        require(self.shed == 0, format!("the reactor shed {}", self.shed));
+        require(peak >= n as u64, format!("peak {peak} sockets < {n}"));
+        require(self.digest_match(), "served digests differ".into());
+        require(
+            ratio <= limit,
+            format!("wall ratio {ratio:.2} > {limit:.2}"),
+        );
+        failures
     }
 }
 
@@ -573,9 +605,41 @@ mod tests {
         assert_eq!(extract(body, "missing"), None);
     }
 
+    #[test]
+    fn check_fails_past_each_bound() {
+        let storm = ConnStress {
+            connections: 400,
+            completed: 400,
+            errors: 0,
+            peak_connections: 400,
+            shed: 0,
+            wall_seconds: 0.2,
+            first_byte_p50: 0.0,
+            first_byte_p95: 0.0,
+            first_byte_p99: 0.0,
+            complete_p50: 0.0,
+            complete_p95: 0.0,
+            complete_p99: 0.0,
+            digests: BTreeSet::from(["d1".to_string()]),
+            reference_digests: BTreeSet::from(["d1".to_string()]),
+            anchor_compile_seconds: 0.1,
+        };
+        assert_eq!(storm.check(), Vec::<String>::new());
+        let fails = |edit: fn(&mut ConnStress), want: &str| {
+            let mut edited = storm.clone();
+            edit(&mut edited);
+            assert_eq!(edited.check(), [format!("connections: {want}")]);
+        };
+        fails(|c| c.shed = 1, "the reactor shed 1");
+        fails(|c| c.completed = 399, "399 of 400 served, 0 errors");
+        fails(|c| c.peak_connections = 399, "peak 399 sockets < 400");
+        fails(|c| c.reference_digests.clear(), "served digests differ");
+        fails(|c| c.wall_seconds = 0.21, "wall ratio 2.10 > 2.00");
+    }
+
     /// A miniature storm: every client completes, nothing is shed, and
     /// the served digests equal the direct reference. The full-size storm
-    /// runs in CI via `tetris bench-suite --connections`.
+    /// runs, gated, in `tetris bench-suite --connections`.
     #[test]
     fn small_storm_completes_on_the_reactor() {
         let stress = run_conn_stress(8, 2);

@@ -10,13 +10,14 @@ use std::time::Instant;
 use tetris_core::TetrisConfig;
 use tetris_engine::{
     slack_for_width, Backend, CacheStats, CompileJob, Engine, EngineConfig, JobResult,
-    RegionScheduler, ResidentBatch,
+    RegionScheduler, ResidentBatch, SchedulerStats,
 };
 use tetris_obs::StageTimings;
 use tetris_pauli::encoder::Encoding;
 use tetris_pauli::qaoa::{maxcut_hamiltonian, Graph};
 use tetris_pauli::uccsd::synthetic_ucc;
 use tetris_pauli::Hamiltonian;
+use tetris_server::json::{self, Value};
 use tetris_topology::CouplingGraph;
 
 /// The named workloads of the suite: molecules (JW), synthetic UCC and the
@@ -71,20 +72,20 @@ pub fn suite_jobs(quick: bool, graph: &Arc<CouplingGraph>) -> Vec<CompileJob> {
     jobs
 }
 
-// ---------------------------------------------------------------- sharding
+// ------------------------------------------------------------ region batch
 
-/// The sharded-service batch: small workloads (widths ≤ 16) that a
-/// 130-node heavy-hex chip can host several of at once. `quick` keeps the
-/// four smallest.
+/// The region batch's device: a 130-node heavy-hex chip that hosts
+/// several of [`shard_jobs`]' small workloads at once.
 pub fn shard_device() -> Arc<CouplingGraph> {
     Arc::new(CouplingGraph::heavy_hex(7, 16)) // 7·16 + 6·3 = 130 nodes
 }
 
-/// Builds the shard-comparison batch against `graph` — one Tetris job per
-/// small workload, every job far narrower than the device. The jobs are
-/// deliberately of *comparable* cost (same width family, distinct seeds →
-/// distinct content): a batch whose wall-clock one heavy job dominates
-/// would measure that job, not the sharding.
+/// Builds the region batch against `graph`: one Tetris job per small
+/// workload (widths ≤ 16), every job far narrower than the device. `quick`
+/// keeps the six smallest. The jobs are deliberately of *comparable* cost
+/// (same width family, distinct seeds → distinct content): a batch whose
+/// wall-clock one heavy job dominates would measure that job, not the
+/// regions.
 pub fn shard_jobs(quick: bool, graph: &Arc<CouplingGraph>) -> Vec<CompileJob> {
     let mut hams: Vec<Hamiltonian> = (0..4)
         .map(|k| {
@@ -115,145 +116,20 @@ pub fn shard_jobs(quick: bool, graph: &Arc<CouplingGraph>) -> Vec<CompileJob> {
         .collect()
 }
 
-/// One carved region of a shard run, for the report.
-#[derive(Debug, Clone)]
-pub struct ShardRegionReport {
-    /// The job packed onto this region.
-    pub job: String,
-    /// The job's logical width.
-    pub width: usize,
-    /// Physical qubits granted (width + slack).
-    pub region_qubits: usize,
-}
-
-/// Sharded vs sequential-whole-chip comparison over one batch.
-#[derive(Debug, Clone)]
-pub struct ShardComparison {
-    /// The device both sides target.
-    pub device: String,
-    /// Device width in qubits.
-    pub device_qubits: usize,
-    /// Jobs in the batch.
-    pub jobs: usize,
-    /// Wall-clock of the sequential whole-chip baseline (one worker, each
-    /// job compiled against the full device).
-    pub sequential_wall: f64,
-    /// Wall-clock of the region batch (carve, region compiles on the pool,
-    /// relabel).
-    pub sharded_wall: f64,
-    /// Per-region placements of the sharded run.
-    pub regions: Vec<ShardRegionReport>,
-    /// Batch jobs the scheduler could not place (compiled whole-chip).
-    pub leftover: usize,
-    /// Physical qubits the regions occupy.
-    pub qubits_used: usize,
-}
-
-impl ShardComparison {
-    /// Sequential-over-sharded speedup.
-    pub fn speedup(&self) -> f64 {
-        if self.sharded_wall <= 0.0 {
-            return 0.0;
-        }
-        self.sequential_wall / self.sharded_wall
-    }
-
-    /// Fraction of the device the regions occupy.
-    pub fn utilization(&self) -> f64 {
-        if self.device_qubits == 0 {
-            return 0.0;
-        }
-        self.qubits_used as f64 / self.device_qubits as f64
-    }
-}
-
-/// Runs the shard comparison: the same batch compiled (a) sequentially
-/// against the whole chip on a one-worker engine and (b) through a fresh
-/// region scheduler on a `threads`-worker engine. Both engines start
-/// cold, so neither side is served from the other's cache — and the two
-/// paths key their entries apart regardless.
-///
-/// # Panics
-/// Panics if any job fails — the comparison batch is sized to always
-/// fit.
-pub fn run_shard_comparison(quick: bool, threads: usize) -> ShardComparison {
-    let graph = shard_device();
-
-    let sequential_engine = Engine::new(EngineConfig {
-        threads: 1,
-        cache_capacity: 0,
-        cache_dir: None,
-        cache_max_bytes: None,
-    });
-    let jobs = shard_jobs(quick, &graph);
-    let n_jobs = jobs.len();
-    eprintln!(
-        "[bench-suite] shard comparison: {n_jobs} jobs on {} — sequential whole-chip…",
-        graph.name()
-    );
-    let t0 = Instant::now();
-    let sequential = sequential_engine.compile_batch(jobs);
-    let sequential_wall = t0.elapsed().as_secs_f64();
-    assert!(
-        sequential.iter().all(|r| r.error.is_none()),
-        "sequential baseline failed"
-    );
-
-    let sharded_engine = Engine::new(EngineConfig {
-        threads,
-        cache_capacity: 0,
-        cache_dir: None,
-        cache_max_bytes: None,
-    });
-    let jobs = shard_jobs(quick, &graph);
-    eprintln!("[bench-suite] shard comparison: region batch on {threads} workers…");
-    let t0 = Instant::now();
-    let sharded = RegionScheduler::with_default_config().schedule_batch(&sharded_engine, jobs);
-    let sharded_wall = t0.elapsed().as_secs_f64();
-    assert!(
-        sharded.results.iter().all(|r| r.error.is_none()),
-        "region batch failed"
-    );
-
-    let regions: Vec<ShardRegionReport> = sharded
-        .results
-        .iter()
-        .filter_map(|r| {
-            r.region.as_ref().map(|region| ShardRegionReport {
-                job: r.name.clone(),
-                width: r.output.final_layout.as_ref().map_or(0, |l| l.n_logical()),
-                region_qubits: region.len(),
-            })
-        })
-        .collect();
-    let qubits_used = regions.iter().map(|r| r.region_qubits).sum();
-    eprintln!(
-        "[bench-suite] shard comparison: sequential {sequential_wall:.2}s vs sharded {sharded_wall:.2}s ({:.1}x)",
-        sequential_wall / sharded_wall.max(1e-9)
-    );
-    ShardComparison {
-        device: graph.name().to_string(),
-        device_qubits: graph.n_qubits(),
-        jobs: n_jobs,
-        sequential_wall,
-        sharded_wall,
-        regions,
-        leftover: sharded
-            .results
-            .iter()
-            .filter(|r| r.region.is_none())
-            .count(),
-        qubits_used,
-    }
-}
-
 // ------------------------------------------------------ resident scheduling
 
-/// Resident regions vs residency off over steady-state repeat traffic:
-/// the same batch submitted `batches` times to each side, both warmed
-/// once first. The per-batch side schedules every submission on a fresh
-/// [`RegionScheduler`], so it re-carves every time (its artifacts are
-/// cache hits); the resident side keeps one scheduler and serves every
+/// The region scheduler on the region batch ([`shard_jobs`] on
+/// [`shard_device`]), cold and warm.
+///
+/// Cold: the batch's first submission through a fresh [`RegionScheduler`]
+/// on a cold engine against one sequential pass of the same jobs on a
+/// one-worker engine, each job compiled against the whole chip.
+///
+/// Warm: resident regions vs residency off over steady-state repeat
+/// traffic, the same batch submitted `batches` times to each side, both
+/// warmed once first. The per-batch side schedules every submission on a
+/// fresh [`RegionScheduler`], so it re-carves every time (its artifacts
+/// are cache hits); the resident side keeps one scheduler and serves every
 /// placement from the free-list and every artifact from the resident
 /// cache. Each batch is timed on its own and the sides alternate on every
 /// repeat, so machine drift lands on both; the comparison is between the
@@ -262,19 +138,32 @@ pub fn run_shard_comparison(quick: bool, threads: usize) -> ShardComparison {
 pub struct ResidentComparison {
     /// The device both sides target.
     pub device: String,
+    /// Device width in qubits.
+    pub device_qubits: usize,
     /// Jobs per batch.
     pub jobs: usize,
     /// Timed repeat batches per side (the warm-up batch is untimed).
     pub batches: usize,
+    /// Wall-clock seconds of the sequential whole-chip pass.
+    pub sequential_wall: f64,
+    /// Wall-clock seconds of the cold region batch (carve, region compiles
+    /// on the pool, relabel): the per-batch side's warm-up.
+    pub region_cold_wall: f64,
+    /// Physical qubits granted to each placed job of the cold batch, in
+    /// submission order.
+    pub region_qubits: Vec<usize>,
+    /// Jobs of the cold batch the scheduler could not place (compiled
+    /// whole-chip).
+    pub leftover: usize,
+    /// Physical qubits the cold batch's scheduler holds resident after it.
+    pub qubits_used: usize,
     /// Median wall-clock seconds of one repeat batch on a fresh scheduler.
     pub per_batch_median: f64,
     /// Median wall-clock seconds of one repeat batch through the resident
     /// scheduler.
     pub resident_median: f64,
-    /// Scheduler carves across warm-up + timed batches.
-    pub carves_performed: u64,
-    /// Placements the scheduler served without carving.
-    pub carves_skipped: u64,
+    /// The resident scheduler's counters across warm-up + timed batches.
+    pub carves: SchedulerStats,
     /// Whether both sides matched the independent reference (a direct
     /// carve plus a serial compile on each induced subgraph), digest for
     /// digest and region for region.
@@ -282,15 +171,6 @@ pub struct ResidentComparison {
 }
 
 impl ResidentComparison {
-    /// Fraction of scheduler placements that skipped carving.
-    pub fn carve_skip_ratio(&self) -> f64 {
-        let total = self.carves_performed + self.carves_skipped;
-        if total == 0 {
-            return 1.0;
-        }
-        self.carves_skipped as f64 / total as f64
-    }
-
     /// Per-batch-over-resident speedup of the median repeat.
     pub fn speedup(&self) -> f64 {
         if self.resident_median <= 0.0 {
@@ -298,16 +178,66 @@ impl ResidentComparison {
         }
         self.per_batch_median / self.resident_median
     }
+
+    /// The gate, against the committed `resident.reference.json` (taken
+    /// with `--quick`): every job placed on a region whose sizes add up to
+    /// what the scheduler holds, the cold region batch faster than the
+    /// sequential whole-chip pass, repeat placements served by the
+    /// free-list, digests equal to the independent reference, and the
+    /// warm speedup above 1 and at least half the reference's.
+    pub fn check(&self) -> Vec<String> {
+        let reference = reference(include_str!("../resident.reference.json"));
+        let (jobs, batches, leftover) = (self.jobs, self.batches, self.leftover);
+        let (ref_jobs, ref_batches) = (reference("jobs"), reference("batches"));
+        let shape = jobs as f64 == ref_jobs && batches as f64 == ref_batches;
+        let (placed, used) = (self.region_qubits.iter().sum::<usize>(), self.qubits_used);
+        let device = self.device_qubits;
+        let fits = placed == used && used <= device;
+        let (seq, cold) = (self.sequential_wall, self.region_cold_wall);
+        let (per, res) = (self.per_batch_median, self.resident_median);
+        let skip = self.carves.carve_skip_ratio();
+        let (speedup, half) = (self.speedup(), reference("speedup") / 2.0);
+        let mut failures = Vec::new();
+        let mut require = |holds: bool, what: String| {
+            if !holds {
+                failures.push(format!("resident: {what}"));
+            }
+        };
+        require(leftover == 0, format!("{leftover} jobs unplaced"));
+        require(jobs >= 4, format!("{jobs} jobs < 4"));
+        require(
+            cold < seq,
+            format!("cold {cold:.4}s >= sequential {seq:.4}s"),
+        );
+        require(fits, format!("regions {placed}, held {used} of {device}"));
+        require(self.digest_match, "digests drifted".into());
+        require(skip >= 0.9, format!("carve-skip ratio {skip:.4} < 0.9"));
+        require(
+            shape,
+            format!("shape {jobs}x{batches} != {ref_jobs}x{ref_batches}"),
+        );
+        require(
+            res < per,
+            format!("resident {res:.6}s >= per-batch {per:.6}s"),
+        );
+        require(
+            speedup >= half,
+            format!("speedup {speedup:.3}x < ref/2 {half:.3}x"),
+        );
+        failures
+    }
 }
 
-/// Runs the resident comparison: one warm-up submission on each side (so
-/// neither side pays cold compiles inside the timed window), then
-/// `batches` individually timed repeats per side, alternating which side
-/// goes first. Both engines are separate and equally sized.
+/// Runs the resident comparison. The cold side first: the per-batch
+/// side's warm-up, timed, then the sequential whole-chip pass. Then one
+/// warm-up submission on the resident side (so neither warm side pays cold
+/// compiles inside the timed window), then `batches` individually timed
+/// repeats per side, alternating which side goes first. The two region
+/// engines are separate and equally sized.
 ///
 /// # Panics
-/// Panics if any job fails on either side — the batch is the same
-/// always-fits batch the shard comparison uses.
+/// Panics if any job fails on either side — the batch always fits the
+/// device.
 pub fn run_resident_comparison(quick: bool, threads: usize) -> ResidentComparison {
     let graph = shard_device();
     let batches = if quick { 50 } else { 150 };
@@ -316,10 +246,10 @@ pub fn run_resident_comparison(quick: bool, threads: usize) -> ResidentCompariso
     // the two sides' scheduling, not repeated Hamiltonian construction.
     let jobs = shard_jobs(quick, &graph);
     let n_jobs = jobs.len();
-    let fresh_engine = || {
+    let engine = |threads, cache_capacity| {
         Engine::new(EngineConfig {
             threads,
-            cache_capacity: 1024,
+            cache_capacity,
             cache_dir: None,
             cache_max_bytes: None,
         })
@@ -330,17 +260,30 @@ pub fn run_resident_comparison(quick: bool, threads: usize) -> ResidentCompariso
         graph.name()
     );
 
-    // Per-batch side: the artifacts are cache hits after the warm-up, but
-    // every submission's fresh scheduler re-carves. Resident side: the
-    // warm-up batch carves the regions; every repeat reuses them and hits
-    // the resident artifact cache.
-    let per_batch_engine = fresh_engine();
-    let resident_engine = fresh_engine();
+    // Cold: the per-batch side's warm-up on its fresh engine, against a
+    // sequential whole-chip pass on an uncached one-worker engine.
+    let per_batch_engine = engine(threads, 1024);
+    let cold = RegionScheduler::with_default_config();
+    let t0 = Instant::now();
+    let warm_per_batch = cold.schedule_batch(&per_batch_engine, jobs.clone());
+    let region_cold_wall = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    let sequential = engine(1, 0).compile_batch(jobs.clone());
+    let sequential_wall = t0.elapsed().as_secs_f64();
+    assert!(
+        sequential.iter().all(|r| r.error.is_none()),
+        "sequential whole-chip pass failed"
+    );
+
+    // Warm. Per-batch side: the artifacts are cache hits after the
+    // warm-up, but every submission's fresh scheduler re-carves. Resident
+    // side: the warm-up batch carves the regions; every repeat reuses them
+    // and hits the resident artifact cache.
+    let resident_engine = engine(threads, 1024);
     let scheduler = RegionScheduler::with_default_config();
     let per_batch =
         || RegionScheduler::with_default_config().schedule_batch(&per_batch_engine, jobs.clone());
     let resident = || scheduler.schedule_batch(&resident_engine, jobs.clone());
-    let warm_per_batch = per_batch();
     let warm_resident = resident();
     for (side, warm) in [("per-batch", &warm_per_batch), ("resident", &warm_resident)] {
         assert!(
@@ -384,21 +327,29 @@ pub fn run_resident_comparison(quick: bool, threads: usize) -> ResidentCompariso
 
     let stats = scheduler.stats();
     eprintln!(
-        "[bench-suite] resident comparison: median batch per-batch {:.2}ms vs resident {:.2}ms \
-         ({:.1}x, carve-skip {:.3})",
+        "[bench-suite] resident comparison: cold region batch {:.2}ms vs sequential whole-chip \
+         {:.2}ms; median batch per-batch {:.2}ms vs resident {:.2}ms ({:.1}x, carve-skip {:.3})",
+        region_cold_wall * 1e3,
+        sequential_wall * 1e3,
         per_batch_median * 1e3,
         resident_median * 1e3,
         per_batch_median / resident_median.max(1e-9),
         stats.carve_skip_ratio(),
     );
+    let regions = || warm_per_batch.results.iter().map(|r| r.region.as_ref());
     ResidentComparison {
         device: graph.name().to_string(),
+        device_qubits: graph.n_qubits(),
         jobs: n_jobs,
         batches,
+        sequential_wall,
+        region_cold_wall,
+        region_qubits: regions().flatten().map(|region| region.len()).collect(),
+        leftover: regions().filter(Option::is_none).count(),
+        qubits_used: cold.stats().resident_qubits,
         per_batch_median,
         resident_median,
-        carves_performed: stats.carves_performed,
-        carves_skipped: stats.carves_skipped,
+        carves: stats,
         digest_match,
     }
 }
@@ -436,40 +387,78 @@ fn region_reference(
 
 // --------------------------------------------------------------- profiling
 
-/// Observability-overhead measurement over one cold suite pass compiled
-/// twice: recording disabled (the baseline) and enabled (instrumented),
-/// each on a fresh uncached engine, plus the instrumented run's per-stage
-/// wall-time aggregates.
+/// Disabled/enabled pairs the overhead profile runs; odd, so the median is
+/// one pair's fraction.
+const PROFILE_PAIRS: usize = 5;
+
+/// Observability-overhead measurement: [`PROFILE_PAIRS`] pairs of cold
+/// suite compiles, recording disabled (the baseline) and enabled
+/// (instrumented), plus the instrumented side's per-stage wall-time
+/// aggregates.
 #[derive(Debug, Clone)]
 pub struct SuiteProfile {
-    /// Batch wall-clock with recording enabled.
-    pub instrumented_wall: f64,
-    /// Batch wall-clock with recording disabled.
-    pub baseline_wall: f64,
-    /// Summed per-stage busy walls across the instrumented run's jobs,
+    /// `(baseline, instrumented)` summed compile wall-clock seconds of each
+    /// pair, in run order.
+    pub pairs: Vec<(f64, f64)>,
+    /// Summed per-stage busy walls across every instrumented compile,
     /// nonzero stages only, in stage order.
     pub stage_seconds: Vec<(&'static str, f64)>,
 }
 
 impl SuiteProfile {
-    /// Relative cost of recording: `(instrumented - baseline) / baseline`.
-    /// Negative values are measurement noise — instrumentation cannot make
-    /// compilation faster.
+    /// Each pair's relative cost of recording:
+    /// `(instrumented - baseline) / baseline`. Negative values are
+    /// measurement noise — instrumentation cannot make compilation faster.
+    pub fn overhead_fractions(&self) -> Vec<f64> {
+        let fraction = |&(base, inst): &(f64, f64)| (inst - base) / base;
+        self.pairs.iter().map(fraction).collect()
+    }
+
+    /// The median pair's overhead fraction.
     pub fn overhead_fraction(&self) -> f64 {
-        if self.baseline_wall <= 0.0 {
-            return 0.0;
-        }
-        (self.instrumented_wall - self.baseline_wall) / self.baseline_wall
+        median(self.overhead_fractions())
+    }
+
+    /// The gate: recording costs under 5% of the uninstrumented compile
+    /// wall at the median pair, and the routing stage is attributed real
+    /// wall time (a rename or a dropped span would zero it out).
+    pub fn check(&self) -> Vec<String> {
+        let (frac, pairs) = (self.overhead_fraction(), self.overhead_fractions());
+        let stages = &self.stage_seconds;
+        let routing = stages
+            .iter()
+            .find(|s| s.0 == "routing")
+            .map_or(0.0, |s| s.1);
+        let mut failures = Vec::new();
+        let mut require = |holds: bool, what: String| {
+            if !holds {
+                failures.push(format!("profile: {what}"));
+            }
+        };
+        require(
+            frac < 0.05,
+            format!("median overhead {frac:.4} >= 0.05 {pairs:?}"),
+        );
+        require(routing > 0.0, format!("no routing wall in {stages:?}"));
+        failures
     }
 }
 
-/// Runs the overhead profile: the suite compiled cold with recording
-/// disabled first, then again cold with it enabled. The disabled run goes
-/// first so any residual process warm-up (allocator, page cache) lands on
-/// the baseline, biasing the measured overhead *up* — a gate this passes
-/// is honest. Recording is re-enabled before returning.
+/// The median of `values` (nearest rank; 0 when empty).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    percentile(&values, 50.0)
+}
+
+/// Runs the overhead profile: [`PROFILE_PAIRS`] pairs, each compiling
+/// every suite job twice back to back, once with recording disabled and
+/// once enabled, on two fresh uncached engines, and summing each side's
+/// compile walls. Adjacent compiles see the same machine load, so load
+/// that comes and goes lands on both sides; which side goes first
+/// alternates from job to job, so neither gets the warmer caches.
+/// Recording is re-enabled before returning.
 pub fn run_suite_profile(quick: bool, threads: usize, graph: &Arc<CouplingGraph>) -> SuiteProfile {
-    let fresh_engine = || {
+    let engine = || {
         Engine::new(EngineConfig {
             threads,
             cache_capacity: 0,
@@ -477,50 +466,54 @@ pub fn run_suite_profile(quick: bool, threads: usize, graph: &Arc<CouplingGraph>
             cache_max_bytes: None,
         })
     };
-    eprintln!("[bench-suite] profile: baseline pass (recording disabled)…");
-    tetris_obs::set_enabled(false);
-    let t0 = Instant::now();
-    let _ = fresh_engine().compile_batch(suite_jobs(quick, graph));
-    let baseline_wall = t0.elapsed().as_secs_f64();
-    tetris_obs::set_enabled(true);
-
-    eprintln!("[bench-suite] profile: instrumented pass (recording enabled)…");
-    let t0 = Instant::now();
-    let results = fresh_engine().compile_batch(suite_jobs(quick, graph));
-    let instrumented_wall = t0.elapsed().as_secs_f64();
+    let jobs = suite_jobs(quick, graph);
+    let mut pairs = Vec::with_capacity(PROFILE_PAIRS);
     let mut totals = StageTimings::default();
-    for r in &results {
-        totals.merge(&r.stages);
+    for pair in 0..PROFILE_PAIRS {
+        eprintln!(
+            "[bench-suite] profile: pair {}/{PROFILE_PAIRS}, each job recording disabled and enabled…",
+            pair + 1
+        );
+        let sides = [engine(), engine()];
+        let mut walls = [0.0; 2];
+        for (i, job) in jobs.iter().enumerate() {
+            for recording in [(i + pair) % 2 == 0, (i + pair) % 2 == 1] {
+                tetris_obs::set_enabled(recording);
+                let t0 = Instant::now();
+                let results = sides[recording as usize].compile_batch(vec![job.clone()]);
+                walls[recording as usize] += t0.elapsed().as_secs_f64();
+                if recording {
+                    totals.merge(&results[0].stages);
+                }
+            }
+        }
+        tetris_obs::set_enabled(true);
+        pairs.push((walls[0], walls[1]));
     }
-    eprintln!(
-        "[bench-suite] profile: baseline {baseline_wall:.2}s vs instrumented {instrumented_wall:.2}s \
-         ({:+.1}% overhead)",
-        100.0 * (instrumented_wall - baseline_wall) / baseline_wall.max(1e-9)
-    );
-    SuiteProfile {
-        instrumented_wall,
-        baseline_wall,
+    let profile = SuiteProfile {
+        pairs,
         stage_seconds: totals
             .iter()
             .filter(|(_, secs)| *secs > 0.0)
             .map(|(stage, secs)| (stage.name(), secs))
             .collect(),
-    }
+    };
+    eprintln!(
+        "[bench-suite] profile: {:+.1}% median overhead",
+        100.0 * profile.overhead_fraction()
+    );
+    profile
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// A committed reference file as a lookup from key to number, NaN when
+/// the key is missing (so every comparison with it fails).
+///
+/// # Panics
+/// Panics if the file is not JSON; the unit tests of every gate read
+/// their reference.
+pub(crate) fn reference(text: &str) -> impl Fn(&str) -> f64 {
+    let doc = json::parse(text).expect("committed reference is JSON");
+    move |key| doc.get(key).and_then(Value::as_num).unwrap_or(f64::NAN)
 }
 
 /// One pass of a suite run, for the report.
@@ -537,6 +530,18 @@ pub struct SuitePass {
 }
 
 impl SuitePass {
+    /// The gate: every job of the pass compiled without error.
+    pub fn check(&self) -> Vec<String> {
+        let failed = self.results.iter().filter_map(|r| {
+            let error = r.error.as_deref()?;
+            Some(format!(
+                "pass {}: {} via {}: {error}",
+                self.pass, r.name, r.compiler
+            ))
+        });
+        failed.collect()
+    }
+
     /// Fraction of this pass's jobs served from the cache.
     pub fn cached_fraction(&self) -> f64 {
         if self.results.is_empty() {
@@ -548,18 +553,16 @@ impl SuitePass {
 
 /// Renders the full bench-suite report as pretty-printed JSON: engine
 /// sizing, then per pass the batch wall-clock, the cumulative cache
-/// counters and per-job timings and stats; with `shard` set, a trailing
-/// `"shard"` section comparing region vs sequential whole-chip walls;
-/// with `resident` set, a `"resident"` section comparing one long-lived
-/// scheduler against a fresh scheduler per batch on repeat traffic; with `profile`
-/// set, a `"profile"` section with the observability overhead and
-/// per-stage wall-time aggregates; with `connections` set, a
-/// `"connections"` section with the reactor front-end's connect storm
-/// and its independent references.
+/// counters and per-job timings and stats; with `resident` set, a
+/// `"resident"` section with the cold region batch against a sequential
+/// whole-chip pass and one long-lived scheduler against a fresh scheduler
+/// per batch on repeat traffic; with `profile` set, a `"profile"` section
+/// with the observability overhead and per-stage wall-time aggregates;
+/// with `connections` set, a `"connections"` section with the reactor
+/// front-end's connect storm and its independent references.
 pub fn json_report(
     threads: usize,
     passes: &[SuitePass],
-    shard: Option<&ShardComparison>,
     resident: Option<&ResidentComparison>,
     profile: Option<&SuiteProfile>,
     connections: Option<&crate::connstress::ConnStress>,
@@ -599,7 +602,7 @@ pub fn json_report(
         for (ri, r) in p.results.iter().enumerate() {
             let s = &r.output.stats;
             let error = match &r.error {
-                Some(msg) => format!(" \"error\": \"{}\",", json_escape(msg)),
+                Some(msg) => format!(" \"error\": \"{}\",", json::escape(msg)),
                 None => String::new(),
             };
             let _ = write!(
@@ -608,8 +611,8 @@ pub fn json_report(
                  \"cached\": {},{} \"engine_seconds\": {:.6}, \"compile_seconds\": {:.6}, \
                  \"cnots\": {}, \"swaps\": {}, \"depth\": {}, \"duration\": {}, \
                  \"cancel_ratio\": {:.4} }}",
-                json_escape(&r.name),
-                json_escape(&r.compiler),
+                json::escape(&r.name),
+                json::escape(&r.compiler),
                 r.cache_key,
                 r.cached,
                 error,
@@ -660,91 +663,54 @@ pub fn json_report(
         ));
     }
     if let Some(p) = profile {
-        let mut sec = String::new();
-        let _ = writeln!(sec, "  \"profile\": {{");
-        let _ = writeln!(
-            sec,
-            "    \"baseline_wall_seconds\": {:.6},",
-            p.baseline_wall
-        );
-        let _ = writeln!(
-            sec,
-            "    \"instrumented_wall_seconds\": {:.6},",
-            p.instrumented_wall
-        );
-        let _ = writeln!(
-            sec,
-            "    \"overhead_fraction\": {:.6},",
-            p.overhead_fraction()
-        );
+        let fractions: Vec<String> = p
+            .overhead_fractions()
+            .iter()
+            .map(|f| format!("{f:.6}"))
+            .collect();
         let stages: Vec<String> = p
             .stage_seconds
             .iter()
             .map(|(name, secs)| format!("\"{name}\": {secs:.6}"))
             .collect();
-        let _ = writeln!(sec, "    \"stage_seconds\": {{ {} }}", stages.join(", "));
-        sec.push_str("  }");
-        sections.push(sec);
+        sections.push(format!(
+            "  \"profile\": {{\n    \"baseline_wall_seconds\": {:.6},\n    \
+             \"instrumented_wall_seconds\": {:.6},\n    \"overhead_fraction\": {:.6},\n    \
+             \"pair_overhead_fractions\": [{}],\n    \"stage_seconds\": {{ {} }}\n  }}",
+            median(p.pairs.iter().map(|p| p.0).collect()),
+            median(p.pairs.iter().map(|p| p.1).collect()),
+            p.overhead_fraction(),
+            fractions.join(", "),
+            stages.join(", "),
+        ));
     }
     if let Some(r) = resident {
-        let mut sec = String::new();
-        let _ = writeln!(sec, "  \"resident\": {{");
-        let _ = writeln!(sec, "    \"device\": \"{}\",", json_escape(&r.device));
-        let _ = writeln!(sec, "    \"jobs\": {},", r.jobs);
-        let _ = writeln!(sec, "    \"batches\": {},", r.batches);
-        let _ = writeln!(
-            sec,
-            "    \"per_batch_median_seconds\": {:.6},",
-            r.per_batch_median
-        );
-        let _ = writeln!(
-            sec,
-            "    \"resident_median_seconds\": {:.6},",
-            r.resident_median
-        );
-        let _ = writeln!(sec, "    \"speedup\": {:.4},", r.speedup());
-        let _ = writeln!(sec, "    \"carves_performed\": {},", r.carves_performed);
-        let _ = writeln!(sec, "    \"carves_skipped\": {},", r.carves_skipped);
-        let _ = writeln!(
-            sec,
-            "    \"carve_skip_ratio\": {:.4},",
-            r.carve_skip_ratio()
-        );
-        let _ = writeln!(sec, "    \"digest_match\": {}", r.digest_match);
-        sec.push_str("  }");
-        sections.push(sec);
-    }
-    if let Some(s) = shard {
-        let mut sec = String::new();
-        let _ = writeln!(sec, "  \"shard\": {{");
-        let _ = writeln!(sec, "    \"device\": \"{}\",", json_escape(&s.device));
-        let _ = writeln!(sec, "    \"device_qubits\": {},", s.device_qubits);
-        let _ = writeln!(sec, "    \"jobs\": {},", s.jobs);
-        let _ = writeln!(sec, "    \"leftover\": {},", s.leftover);
-        let _ = writeln!(
-            sec,
-            "    \"sequential_wall_seconds\": {:.6},",
-            s.sequential_wall
-        );
-        let _ = writeln!(sec, "    \"sharded_wall_seconds\": {:.6},", s.sharded_wall);
-        let _ = writeln!(sec, "    \"speedup\": {:.4},", s.speedup());
-        let _ = writeln!(sec, "    \"qubits_used\": {},", s.qubits_used);
-        let _ = writeln!(sec, "    \"utilization\": {:.4},", s.utilization());
-        let _ = writeln!(sec, "    \"regions\": [");
-        for (i, r) in s.regions.iter().enumerate() {
-            let _ = write!(
-                sec,
-                "      {{ \"job\": \"{}\", \"width\": {}, \"region_qubits\": {}, \
-                 \"region_utilization\": {:.4} }}",
-                json_escape(&r.job),
-                r.width,
-                r.region_qubits,
-                r.region_qubits as f64 / s.device_qubits.max(1) as f64,
-            );
-            sec.push_str(if i + 1 < s.regions.len() { ",\n" } else { "\n" });
-        }
-        sec.push_str("    ]\n  }");
-        sections.push(sec);
+        let region_qubits: Vec<String> = r.region_qubits.iter().map(usize::to_string).collect();
+        sections.push(format!(
+            "  \"resident\": {{\n    \"device\": \"{}\",\n    \"device_qubits\": {},\n    \
+             \"jobs\": {},\n    \"leftover\": {},\n    \"sequential_wall_seconds\": {:.6},\n    \
+             \"region_cold_wall_seconds\": {:.6},\n    \"region_qubits\": [{}],\n    \
+             \"qubits_used\": {},\n    \"batches\": {},\n    \"per_batch_median_seconds\": {:.6},\n    \
+             \"resident_median_seconds\": {:.6},\n    \"speedup\": {:.4},\n    \
+             \"carves_performed\": {},\n    \"carves_skipped\": {},\n    \
+             \"carve_skip_ratio\": {:.4},\n    \"digest_match\": {}\n  }}",
+            json::escape(&r.device),
+            r.device_qubits,
+            r.jobs,
+            r.leftover,
+            r.sequential_wall,
+            r.region_cold_wall,
+            region_qubits.join(", "),
+            r.qubits_used,
+            r.batches,
+            r.per_batch_median,
+            r.resident_median,
+            r.speedup(),
+            r.carves.carves_performed,
+            r.carves.carves_skipped,
+            r.carves.carve_skip_ratio(),
+            r.digest_match,
+        ));
     }
     if sections.is_empty() {
         out.push_str("  ]\n}\n");
@@ -773,105 +739,164 @@ mod tests {
 
     #[test]
     fn json_report_is_well_formed_enough() {
-        let report = json_report(4, &[], None, None, None, None);
+        let report = json_report(4, &[], None, None, None);
         assert!(report.contains("\"threads\": 4"));
         assert!(report.trim_end().ends_with('}'));
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
+    }
+
+    fn profile(pairs: &[(f64, f64)]) -> SuiteProfile {
+        SuiteProfile {
+            pairs: pairs.to_vec(),
+            stage_seconds: vec![("clustering", 0.25), ("routing", 0.5)],
+        }
     }
 
     #[test]
     fn profile_section_renders() {
-        let profile = SuiteProfile {
-            instrumented_wall: 1.03,
-            baseline_wall: 1.0,
-            stage_seconds: vec![("clustering", 0.25), ("routing", 0.5)],
-        };
+        let profile = profile(&[(1.0, 1.01), (1.0, 1.03), (2.0, 2.2)]);
         assert!((profile.overhead_fraction() - 0.03).abs() < 1e-9);
-        let report = json_report(2, &[], None, None, Some(&profile), None);
+        let report = json_report(2, &[], None, Some(&profile), None);
         assert!(report.contains("\"profile\": {"));
+        assert!(report.contains("\"baseline_wall_seconds\": 1.000000"));
+        assert!(report.contains("\"instrumented_wall_seconds\": 1.030000"));
         assert!(report.contains("\"overhead_fraction\": 0.030000"));
+        assert!(report.contains("\"pair_overhead_fractions\": [0.010000, 0.030000, 0.100000]"));
         assert!(report.contains("\"clustering\": 0.250000"));
         assert!(report.trim_end().ends_with('}'));
-        // Profile and shard sections coexist.
-        let cmp = ShardComparison {
-            device: "d".into(),
-            device_qubits: 10,
-            jobs: 1,
-            sequential_wall: 1.0,
-            sharded_wall: 1.0,
-            regions: vec![],
-            leftover: 0,
-            qubits_used: 5,
-        };
-        let both = json_report(2, &[], Some(&cmp), None, Some(&profile), None);
-        assert!(both.contains("\"profile\": {") && both.contains("\"shard\": {"));
-        assert!(both.trim_end().ends_with('}'));
     }
 
     #[test]
-    fn shard_section_renders() {
-        let cmp = ShardComparison {
+    fn profile_check_gates_the_median_pair() {
+        // One noisy pair past the bound does not decide the gate …
+        assert!(profile(&[(1.0, 0.97), (1.0, 1.04), (1.0, 1.2)])
+            .check()
+            .is_empty());
+        // … a median overhead of 6% does.
+        let failures = profile(&[(1.0, 1.06), (1.0, 1.0), (1.0, 1.1)]).check();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("profile: median overhead 0.0600"));
+        let unattributed = SuiteProfile {
+            stage_seconds: vec![("clustering", 0.25)],
+            ..profile(&[(1.0, 1.0)])
+        };
+        assert!(unattributed.check()[0].starts_with("profile: no routing wall"));
+    }
+
+    /// A resident comparison that passes its gate against the committed
+    /// reference (6 jobs x 50 batches, speedup 1.795).
+    fn resident() -> ResidentComparison {
+        ResidentComparison {
             device: "heavy-hex-7x16".into(),
             device_qubits: 130,
-            jobs: 4,
-            sequential_wall: 2.0,
-            sharded_wall: 0.5,
-            regions: vec![ShardRegionReport {
-                job: "UCC-8".into(),
-                width: 8,
-                region_qubits: 10,
-            }],
+            jobs: 6,
+            batches: 50,
+            sequential_wall: 0.09,
+            region_cold_wall: 0.013,
+            region_qubits: vec![14, 14, 14, 14, 12, 12],
             leftover: 0,
-            qubits_used: 10,
-        };
-        assert!((cmp.speedup() - 4.0).abs() < 1e-12);
-        let report = json_report(2, &[], Some(&cmp), None, None, None);
-        assert!(report.contains("\"shard\": {"));
-        assert!(report.contains("\"speedup\": 4.0000"));
-        assert!(report.contains("\"region_qubits\": 10"));
-        assert!(report.trim_end().ends_with('}'));
+            qubits_used: 80,
+            per_batch_median: 2.0,
+            resident_median: 0.5,
+            carves: SchedulerStats {
+                carves_performed: 6,
+                carves_skipped: 60,
+                ..Default::default()
+            },
+            digest_match: true,
+        }
     }
 
     #[test]
     fn resident_section_renders() {
-        let res = ResidentComparison {
-            device: "heavy-hex-7x16".into(),
-            jobs: 6,
-            batches: 10,
-            per_batch_median: 2.0,
-            resident_median: 0.5,
-            carves_performed: 6,
-            carves_skipped: 60,
-            digest_match: true,
-        };
+        let res = resident();
         assert!((res.speedup() - 4.0).abs() < 1e-12);
-        assert!((res.carve_skip_ratio() - 60.0 / 66.0).abs() < 1e-12);
-        let report = json_report(2, &[], None, Some(&res), None, None);
+        let report = json_report(2, &[], Some(&res), None, None);
         assert!(report.contains("\"resident\": {"));
         assert!(report.contains("\"carve_skip_ratio\": 0.9091"));
         assert!(report.contains("\"digest_match\": true"));
+        assert!(report.contains("\"region_qubits\": [14, 14, 14, 14, 12, 12]"));
+        assert!(report.contains("\"sequential_wall_seconds\": 0.090000"));
         assert!(report.trim_end().ends_with('}'));
-        // All three trailing sections coexist in one report.
-        let cmp = ShardComparison {
-            device: "d".into(),
-            device_qubits: 10,
-            jobs: 1,
-            sequential_wall: 1.0,
-            sharded_wall: 1.0,
-            regions: vec![],
-            leftover: 0,
-            qubits_used: 5,
-        };
-        let profile = SuiteProfile {
-            instrumented_wall: 1.0,
-            baseline_wall: 1.0,
-            stage_seconds: vec![],
-        };
-        let all = json_report(2, &[], Some(&cmp), Some(&res), Some(&profile), None);
-        for section in ["\"profile\": {", "\"resident\": {", "\"shard\": {"] {
+        // Both trailing sections coexist in one report.
+        let all = json_report(2, &[], Some(&res), Some(&profile(&[])), None);
+        for section in ["\"profile\": {", "\"resident\": {"] {
             assert!(all.contains(section), "missing {section} in {all}");
         }
         assert!(all.trim_end().ends_with('}'));
+    }
+
+    #[test]
+    fn resident_check_fails_past_each_bound() {
+        assert_eq!(resident().check(), Vec::<String>::new());
+        let fails = |edit: fn(&mut ResidentComparison), want: &str| {
+            let mut comparison = resident();
+            edit(&mut comparison);
+            let failures = comparison.check();
+            assert!(
+                failures.iter().any(|f| f.starts_with(want)),
+                "{want}: {failures:?}"
+            );
+        };
+        fails(|r| r.leftover = 1, "resident: 1 jobs unplaced");
+        fails(|r| r.jobs = 3, "resident: 3 jobs < 4");
+        fails(
+            |r| r.region_cold_wall = 0.09,
+            "resident: cold 0.0900s >= sequential",
+        );
+        fails(
+            |r| r.qubits_used = 81,
+            "resident: regions 80, held 81 of 130",
+        );
+        fails(|r| r.digest_match = false, "resident: digests drifted");
+        fails(
+            |r| r.carves.carves_skipped = 53,
+            "resident: carve-skip ratio 0.8983",
+        );
+        fails(|r| r.batches = 150, "resident: shape 6x150 != 6x50");
+        fails(
+            |r| r.resident_median = 2.0,
+            "resident: resident 2.000000s >= per-batch",
+        );
+        fails(
+            |r| r.resident_median = 2.5,
+            "resident: speedup 0.800x < ref/2 0.897x",
+        );
+    }
+
+    #[test]
+    fn pass_check_names_every_failed_job() {
+        let graph = Arc::new(CouplingGraph::line(4));
+        let job = |name: &str, nodes: usize| {
+            CompileJob::new(
+                name,
+                Backend::Tetris(TetrisConfig::default()),
+                Arc::new(maxcut_hamiltonian(
+                    &Graph::random_regular(nodes, 3, 1),
+                    name,
+                )),
+                graph.clone(),
+            )
+        };
+        let engine = Engine::new(EngineConfig {
+            threads: 1,
+            cache_capacity: 0,
+            cache_dir: None,
+            cache_max_bytes: None,
+        });
+        // Wider than the device: the compiler fails, the job reports it.
+        let results = engine.compile_batch(vec![job("fits", 4), job("too-wide", 8)]);
+        let pass = SuitePass {
+            pass: 1,
+            wall_seconds: 0.0,
+            results,
+            cache: engine.cache_stats(),
+        };
+        let failures = pass.check();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].starts_with("pass 1: too-wide via "),
+            "{failures:?}"
+        );
     }
 
     #[test]
@@ -897,7 +922,7 @@ mod tests {
         };
         assert!((stress.wall_ratio() - 2.0).abs() < 1e-12);
         assert!(stress.digest_match());
-        let report = json_report(2, &[], None, None, None, Some(&stress));
+        let report = json_report(2, &[], None, None, Some(&stress));
         assert!(report.contains("\"connections\": { \"connections\": 400,"));
         assert!(report.contains("\"peak_connections\": 400"));
         assert!(report.contains("\"anchor_compile_seconds\": 0.500000"));

@@ -388,18 +388,23 @@ fn repeat_names_hit_the_memo_and_stats_match_metrics() {
         );
     }
     let (_, metrics) = request(&addr, "GET", "/metrics", None);
-    for series in [
-        "tetris_registry_memo_hits_total",
-        "tetris_registry_memo_builds_total",
-        "tetris_registry_memo_evictions_total",
-        "tetris_registry_memo_terms",
-        "# TYPE tetris_threads gauge",
-    ] {
-        assert!(
-            metrics.contains(series),
-            "missing `{series}` in:\n{metrics}"
-        );
-    }
+    assert!(metrics.contains("# TYPE tetris_threads gauge"), "{metrics}");
+    let value = |series: &str| -> u64 {
+        let prefix = format!("{series} ");
+        let line = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(prefix.as_str()));
+        line.and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("missing `{series}` in:\n{metrics}"))
+    };
+    assert_eq!(value("tetris_registry_memo_hits_total"), second.hits);
+    assert_eq!(value("tetris_registry_memo_builds_total"), second.builds);
+    assert_eq!(
+        value("tetris_registry_memo_evictions_total"),
+        second.evictions
+    );
+    assert_eq!(value("tetris_registry_memo_terms"), second.terms as u64);
+    assert!(value("tetris_threads") > 0);
 }
 
 #[test]

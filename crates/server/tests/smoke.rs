@@ -2,8 +2,8 @@
 //!
 //! Submits a batch over HTTP, polls it to completion and checks the served
 //! result is bit-for-bit the result a direct `compile_batch` call produces
-//! (via the deterministic `stats_digest`). This is the in-tree twin of the
-//! CI smoke job, which does the same with `tetris serve` + `curl`.
+//! (via the deterministic `stats_digest`). `tests/serve_binary.rs` drives
+//! the `tetris serve` binary itself for what only a separate process shows.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -393,9 +393,17 @@ fn observability_endpoints_expose_metrics_and_traces() {
     );
 
     // /metrics is Prometheus text exposition with engine, cache (both
-    // tiers), region and HTTP series present.
-    let (status, metrics) = request(&addr, "GET", "/metrics", None);
-    assert_eq!(status, 200);
+    // tiers), region and HTTP series present, and nothing in flight or
+    // shed once the batch is done.
+    let mut scrape = TcpStream::connect(&addr).expect("connect");
+    scrape
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .expect("send");
+    let mut response = String::new();
+    scrape.read_to_string(&mut response).expect("receive");
+    let (head, metrics) = response.split_once("\r\n\r\n").expect("head");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(head.contains("\r\nContent-Type: text/plain"), "{head}");
     for series in [
         "# TYPE tetris_jobs_completed_total counter",
         "tetris_engine_seconds_count",
@@ -411,6 +419,11 @@ fn observability_endpoints_expose_metrics_and_traces() {
         "tetris_server_jobs",
         "tetris_dist_rows_computed_total",
         "tetris_dist_row_hits_total",
+        "tetris_jobs_completed_total{cached=\"false\"}",
+        "tetris_cache_stores_total{tier=\"disk\"}",
+        "tetris_server_jobs_inflight 0",
+        "tetris_http_shed_total{reason=\"connections\"} 0",
+        "tetris_http_shed_total{reason=\"inflight\"} 0",
     ] {
         assert!(
             metrics.contains(series),
@@ -425,10 +438,18 @@ fn observability_endpoints_expose_metrics_and_traces() {
     assert!(trace.contains("\"engine_seconds\":"), "{trace}");
 
     // /stats now exposes the previously hidden disk counters, agreeing
-    // with the exposition's `tetris_cache_*{tier="disk"}` series.
+    // with the exposition's `tetris_cache_*{tier="disk"}` series, and its
+    // memory-tier hits agree with the exposition's hit series.
     let (_, stats) = request(&addr, "GET", "/stats", None);
     assert_eq!(field(&stats, "disk_gc_evictions"), Some("0"), "{stats}");
     assert_eq!(field(&stats, "disk_purged"), Some("0"), "{stats}");
+    let memory_hits = metrics
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("tetris_cache_lookups_total{tier=\"memory\",outcome=\"hit\"} ")
+        })
+        .expect("memory hit series");
+    assert_eq!(field(&stats, "hits"), Some(memory_hits), "{stats}");
 }
 
 #[test]

@@ -25,8 +25,8 @@ fn usage() -> ExitCode {
   tetris qaoa    [--nodes N] [--degree D | --edges M] [--seed S] [--qasm FILE]
   tetris compare [--molecule NAME] [--encoder jw|bk] [--backend heavy-hex|sycamore]
   tetris bench-suite [--quick] [--threads N] [--passes P] [--backend heavy-hex|sycamore]
-                     [--cache-dir DIR] [--cache-max-bytes B] [--shard] [--resident]
-                     [--profile] [--connections [N]] [--out FILE]
+                     [--cache-dir DIR] [--cache-max-bytes B] [--resident] [--profile]
+                     [--connections [N]] [--out FILE]
   tetris serve   [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--cache-capacity N]
                  [--cache-max-bytes B] [--job-ttl-secs S] [--trace-log FILE]
                  [--max-connections N] [--max-inflight N]
@@ -222,27 +222,28 @@ fn cmd_compare(args: &Args) -> Option<ExitCode> {
 /// prints a JSON report: per-job timings plus the engine's cache counters.
 /// With `--passes 2` (the default) the suite runs twice in-process; the
 /// second pass is served from the content-addressed cache, which the
-/// report's `cached_fraction` makes visible. With `--shard` the report
-/// additionally compares a batch of small workloads compiled sequentially
-/// against a whole 130-node heavy-hex chip vs placed onto carved regions
-/// of it by the region scheduler (per-region utilization + wall-clock
-/// speedup). With `--resident` the report gains a `"resident"` section
-/// comparing one long-lived region scheduler against a fresh scheduler
-/// per submission on steady-state repeat traffic (carve-skip ratio +
-/// wall-clock speedup + digest pinning). With
-/// `--profile` the report gains a `"profile"` section measuring the
-/// observability layer's overhead (suite compiled cold with recording
-/// disabled vs enabled) plus per-stage wall-time aggregates. With
-/// `--connections [N]` (default 400) the report gains a `"connections"`
-/// section stress-testing the reactor front-end with N concurrent
-/// long-poll + streaming clients, its digests checked against direct
-/// compiles and its wall reported over one direct anchor compile.
+/// report's `cached_fraction` makes visible. With `--resident` the report
+/// gains a `"resident"` section: a batch of small workloads on a 130-node
+/// heavy-hex chip, its cold region batch against a sequential whole-chip
+/// pass, then one long-lived region scheduler against a fresh scheduler
+/// per submission on repeat traffic (carve-skip ratio, wall-clock speedup
+/// and digest pinning). With `--profile` the report gains a `"profile"`
+/// section measuring the observability layer's overhead (median of
+/// recording disabled/enabled pairs) plus per-stage wall-time aggregates.
+/// With `--connections [N]` (default 400) the report gains a
+/// `"connections"` section stress-testing the reactor front-end with N
+/// concurrent long-poll + streaming clients, its digests checked against
+/// direct compiles and its wall reported over one direct anchor compile.
+/// After writing the report, every pass and section is checked by its
+/// gate (the `check` methods); any failed condition, a job error
+/// included, is printed and the command exits 1.
 fn cmd_bench_suite(args: &Args) -> Option<ExitCode> {
     use std::sync::Arc;
     use std::time::Instant;
+    use tetris::bench::connstress::{run_conn_stress, ConnStress};
     use tetris::bench::suite::{
-        json_report, run_resident_comparison, run_shard_comparison, run_suite_profile, suite_jobs,
-        SuitePass,
+        json_report, run_resident_comparison, run_suite_profile, suite_jobs, ResidentComparison,
+        SuitePass, SuiteProfile,
     };
     use tetris::engine::{Engine, EngineConfig};
 
@@ -285,14 +286,6 @@ fn cmd_bench_suite(args: &Args) -> Option<ExitCode> {
             wall,
             results.len()
         );
-        for r in results.iter().filter(|r| r.error.is_some()) {
-            eprintln!(
-                "[bench-suite] ERROR {} via {}: {}",
-                r.name,
-                r.compiler,
-                r.error.as_deref().unwrap_or("")
-            );
-        }
         report_passes.push(SuitePass {
             pass,
             wall_seconds: wall,
@@ -301,9 +294,6 @@ fn cmd_bench_suite(args: &Args) -> Option<ExitCode> {
         });
     }
 
-    let shard = args
-        .flag("--shard")
-        .then(|| run_shard_comparison(quick, threads));
     let resident = args
         .flag("--resident")
         .then(|| run_resident_comparison(quick, threads));
@@ -316,12 +306,11 @@ fn cmd_bench_suite(args: &Args) -> Option<ExitCode> {
             .filter(|v| !v.starts_with("--"))
             .and_then(|v| v.parse().ok())
             .unwrap_or(400);
-        tetris::bench::connstress::run_conn_stress(n, threads)
+        run_conn_stress(n, threads)
     });
     let report = json_report(
         engine.threads(),
         &report_passes,
-        shard.as_ref(),
         resident.as_ref(),
         profile.as_ref(),
         connections.as_ref(),
@@ -333,7 +322,22 @@ fn cmd_bench_suite(args: &Args) -> Option<ExitCode> {
         }
         None => println!("{report}"),
     }
-    Some(ExitCode::SUCCESS)
+
+    let failures: Vec<String> = report_passes
+        .iter()
+        .flat_map(SuitePass::check)
+        .chain(resident.iter().flat_map(ResidentComparison::check))
+        .chain(profile.iter().flat_map(SuiteProfile::check))
+        .chain(connections.iter().flat_map(ConnStress::check))
+        .collect();
+    for failure in &failures {
+        eprintln!("[bench-suite] FAIL {failure}");
+    }
+    Some(if failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }
 
 /// Runs the HTTP compilation service until killed. With `--cache-dir` the
