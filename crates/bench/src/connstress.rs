@@ -23,13 +23,14 @@
 
 use crate::suite::reference;
 use std::collections::BTreeSet;
-use std::io::{Read, Write};
+use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 use tetris_engine::{CompileJob, EngineConfig};
-use tetris_server::{registry, AppState, CompileServer, ServerConfig};
+use tetris_server::json::Value;
+use tetris_server::{client, registry, AppState, CompileServer, ServerConfig};
 
 /// A job spec by wire name: `(workload, backend, device)`.
 type Spec = (&'static str, &'static str, &'static str);
@@ -52,7 +53,7 @@ const ANCHOR_SPEC: Spec = ("UCC-28", "tetris", "heavy-hex");
 /// The anchor batch is submitted while every client is still parked at
 /// the burst barrier, so after the two pre-seeded jobs its id is
 /// deterministically 3 on every fresh server.
-const ANCHOR_ID: &str = "3";
+const ANCHOR_ID: u64 = 3;
 
 /// A `POST /batch` body for `specs`.
 fn batch_body(specs: &[Spec], stream: bool) -> String {
@@ -87,7 +88,7 @@ struct ClientSample {
     first_byte: f64,
     /// Burst release to last expected byte read.
     complete: f64,
-    /// `stats_digest` values extracted from the responses.
+    /// `stats_digest` values read from the responses.
     digests: Vec<String>,
 }
 
@@ -187,7 +188,7 @@ pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn connect(addr: &str) -> std::io::Result<TcpStream> {
+fn connect(addr: &str) -> io::Result<TcpStream> {
     // Under a 400-way connect storm individual connects can be refused
     // transiently while the accept queue drains — retry briefly.
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -207,219 +208,70 @@ fn connect(addr: &str) -> std::io::Result<TcpStream> {
     }
 }
 
-fn send_request(
-    stream: &mut TcpStream,
-    method: &str,
-    path: &str,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    stream.write_all(
-        format!(
-            "{method} {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
-            body.len()
-        )
-        .as_bytes(),
-    )
-}
-
-/// Reads status line + headers byte-wise; returns `(status, head, instant
-/// of the first byte)` — the first-byte timestamp is the latency anchor.
-fn read_head(stream: &mut TcpStream) -> std::io::Result<(u16, String, Instant)> {
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    let mut first_byte_at = None;
-    while !head.ends_with(b"\r\n\r\n") {
-        stream.read_exact(&mut byte)?;
-        first_byte_at.get_or_insert_with(Instant::now);
-        head.push(byte[0]);
-        if head.len() > 64 << 10 {
-            return Err(std::io::Error::other("oversized response head"));
-        }
-    }
-    let text = String::from_utf8_lossy(&head).to_string();
-    let status = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::other("bad status line"))?;
-    Ok((status, text, first_byte_at.expect("at least one byte")))
-}
-
-fn read_body(stream: &mut TcpStream, head: &str) -> std::io::Result<String> {
-    let len: usize = head
-        .lines()
-        .find_map(|l| {
-            let (k, v) = l.split_once(':')?;
-            k.eq_ignore_ascii_case("content-length")
-                .then(|| v.trim().parse().ok())?
-        })
-        .ok_or_else(|| std::io::Error::other("missing content-length"))?;
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Ok(String::from_utf8_lossy(&body).to_string())
-}
-
-fn read_line(stream: &mut TcpStream) -> std::io::Result<String> {
-    let mut line = Vec::new();
-    let mut byte = [0u8; 1];
-    while !line.ends_with(b"\n") {
-        stream.read_exact(&mut byte)?;
-        line.push(byte[0]);
-    }
-    Ok(String::from_utf8_lossy(&line).to_string())
-}
-
-/// One chunked frame; `None` on the terminating zero-length chunk.
-fn read_chunk(stream: &mut TcpStream) -> std::io::Result<Option<String>> {
-    let size_line = read_line(stream)?;
-    let size = usize::from_str_radix(size_line.trim(), 16)
-        .map_err(|_| std::io::Error::other("bad chunk size"))?;
-    if size == 0 {
-        read_line(stream)?;
-        return Ok(None);
-    }
-    let mut payload = vec![0u8; size];
-    stream.read_exact(&mut payload)?;
-    let mut crlf = [0u8; 2];
-    stream.read_exact(&mut crlf)?;
-    Ok(Some(String::from_utf8_lossy(&payload).to_string()))
-}
-
-fn extract(body: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\":");
-    let rest = body[body.find(&tag)? + tag.len()..].trim_start();
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"').to_string())
-}
-
-/// Repeats `GET /job/<id>?wait=1` on the socket until the record is done,
-/// returning its `stats_digest`. One round trip normally parks and
-/// answers at completion; the loop covers a park that times out to the
-/// pending record (or an early 404) before the job lands.
-fn wait_for_digest(stream: &mut TcpStream, id: &str) -> std::io::Result<String> {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        send_request(stream, "GET", &format!("/job/{id}?wait=1"), "", true)?;
-        let (status, head, _) = read_head(stream)?;
-        let result = read_body(stream, &head)?;
-        if status == 200 && extract(&result, "status").as_deref() == Some("done") {
-            return extract(&result, "stats_digest")
-                .ok_or_else(|| std::io::Error::other("done record without digest"));
-        }
-        if status != 200 && status != 404 {
-            return Err(std::io::Error::other(format!("wait status {status}")));
-        }
-        if Instant::now() > deadline {
-            return Err(std::io::Error::other("job did not finish"));
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+/// The `stats_digest` of a done job record.
+fn digest(record: &Value) -> io::Result<String> {
+    let digest = record.get("stats_digest").and_then(Value::as_str);
+    digest
+        .map(str::to_string)
+        .ok_or_else(|| io::Error::other("record without stats_digest"))
 }
 
 /// A streaming client: one batch of both specs with `"stream": true`,
 /// results read as chunked frames off the (already connected) socket.
-fn stream_client(stream: &mut TcpStream) -> std::io::Result<ClientSample> {
+fn stream_client(stream: &mut TcpStream) -> io::Result<ClientSample> {
     let t0 = Instant::now();
-    send_request(stream, "POST", "/batch", &batch_body(&SPECS, true), true)?;
-    let (status, head, first_byte_at) = read_head(stream)?;
-    if status != 200 {
-        return Err(std::io::Error::other(format!("stream status {status}")));
+    client::write_request(stream, "POST", "/batch", &batch_body(&SPECS, true), true)?;
+    let head = client::read_head(stream)?;
+    if head.status != 200 {
+        return Err(io::Error::other(format!("stream status {}", head.status)));
     }
-    if !head
-        .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        return Err(std::io::Error::other("stream reply is not chunked"));
+    if !head.is_chunked() {
+        return Err(io::Error::other("stream reply is not chunked"));
     }
-    read_chunk(stream)?.ok_or_else(|| std::io::Error::other("missing ack frame"))?;
+    client::read_chunk(stream)?.ok_or_else(|| io::Error::other("missing ack frame"))?;
     let mut digests = Vec::new();
-    while let Some(frame) = read_chunk(stream)? {
-        digests.extend(extract(&frame, "stats_digest"));
+    while let Some(frame) = client::read_chunk(stream)? {
+        digests.push(digest(&client::json(&frame)?)?);
     }
     if digests.len() != 2 {
-        return Err(std::io::Error::other("short stream"));
+        return Err(io::Error::other("short stream"));
     }
     Ok(ClientSample {
-        first_byte: first_byte_at.duration_since(t0).as_secs_f64(),
+        first_byte: head.first_byte.duration_since(t0).as_secs_f64(),
         complete: t0.elapsed().as_secs_f64(),
         digests,
     })
 }
 
-fn job_ids(ack: &str) -> std::io::Result<Vec<String>> {
-    // `extract` cuts at the first comma, so bracket-parse the list here.
-    let rest = &ack[ack
-        .find("\"job_ids\":")
-        .ok_or_else(|| std::io::Error::other("missing job_ids"))?..];
-    let open = rest
-        .find('[')
-        .ok_or_else(|| std::io::Error::other("unopened job_ids list"))?;
-    let close = rest
-        .find(']')
-        .ok_or_else(|| std::io::Error::other("unterminated job_ids list"))?;
-    Ok(rest[open + 1..close]
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect())
-}
-
 /// A long-poll client: one quick `/healthz` round trip (the first-byte
 /// responsiveness probe), then a park on the shared anchor job until its
 /// completion wakes the socket.
-fn longpoll_client(stream: &mut TcpStream) -> std::io::Result<ClientSample> {
+fn longpoll_client(stream: &mut TcpStream) -> io::Result<ClientSample> {
     let t0 = Instant::now();
-    send_request(stream, "GET", "/healthz", "", true)?;
-    let (status, head, first_byte_at) = read_head(stream)?;
-    if status != 200 {
-        return Err(std::io::Error::other(format!("healthz status {status}")));
+    let health = client::round_trip(stream, "GET", "/healthz", "", true)?;
+    if health.head.status != 200 {
+        return Err(io::Error::other(format!(
+            "healthz status {}",
+            health.head.status
+        )));
     }
-    read_body(stream, &head)?;
-    let digest = wait_for_digest(stream, ANCHOR_ID)?;
+    let digest = digest(&client::await_job(stream, ANCHOR_ID)?)?;
     Ok(ClientSample {
-        first_byte: first_byte_at.duration_since(t0).as_secs_f64(),
+        first_byte: health.head.first_byte.duration_since(t0).as_secs_f64(),
         complete: t0.elapsed().as_secs_f64(),
         digests: vec![digest],
     })
 }
 
-/// One `Connection: close` request on a fresh socket — for pre-seeding
-/// and the anchor submit.
-fn oneshot(addr: &str, method: &str, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-    let mut stream = connect(addr)?;
-    send_request(&mut stream, method, path, body, false)?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::other("bad status line"))?;
-    let payload = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, payload))
-}
-
 /// Compiles both specs once and waits for completion, so the storm's jobs
 /// are all cache hits.
 fn preseed(addr: &str) {
-    let (status, _) =
-        oneshot(addr, "POST", "/batch", &batch_body(&SPECS, false)).expect("seed batch");
+    let seed = client::request(addr, "POST", "/batch", &batch_body(&SPECS, false));
+    let status = seed.expect("seed batch").head.status;
     assert_eq!(status, 200, "seed batch must be admitted");
-    for id in ["1", "2"] {
-        let deadline = Instant::now() + Duration::from_secs(120);
-        loop {
-            let (_, job) = oneshot(addr, "GET", &format!("/job/{id}"), "").expect("seed poll");
-            if extract(&job, "status").as_deref() == Some("done") {
-                break;
-            }
-            assert!(Instant::now() < deadline, "seed job {id} did not finish");
-            std::thread::sleep(Duration::from_millis(20));
-        }
+    let mut socket = client::connect(addr).expect("seed connect");
+    for id in [1, 2] {
+        client::await_job(&mut socket, id).expect("seed job");
     }
 }
 
@@ -509,16 +361,21 @@ pub fn run_conn_stress(connections: usize, threads: usize) -> ConnStress {
     // Submit the anchor while every client is still parked at the
     // barrier: no client request can race it, so its job id is
     // deterministic and its compile is in flight when the burst lands.
-    let (status, ack) = oneshot(&addr, "POST", "/batch", &batch_body(&[ANCHOR_SPEC], false))
-        .expect("anchor submit");
-    assert_eq!(status, 200, "anchor batch must be admitted: {ack}");
+    // The storm may still be ramping its connects, so this one retries.
+    let mut socket = connect(&addr).expect("anchor connect");
+    let anchor = batch_body(&[ANCHOR_SPEC], false);
+    let ack = client::round_trip(&mut socket, "POST", "/batch", &anchor, false).expect("anchor");
     assert_eq!(
-        job_ids(&ack)
-            .expect("anchor ack")
-            .first()
-            .map(String::as_str),
-        Some(ANCHOR_ID),
-        "anchor id must be deterministic"
+        ack.head.status, 200,
+        "anchor batch must be admitted: {}",
+        ack.body
+    );
+    let ids = client::json(&ack.body).expect("anchor ack");
+    assert_eq!(
+        ids.get("job_ids").and_then(Value::as_arr),
+        Some(&[Value::Num(ANCHOR_ID as f64)][..]),
+        "anchor id must be deterministic: {}",
+        ack.body
     );
 
     // All sockets are open once every client reaches the barrier; the
@@ -595,14 +452,6 @@ mod tests {
         assert_eq!(percentile(&sorted, 0.0), 1.0);
         assert_eq!(percentile(&sorted, 99.0), 11.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn extract_reads_flat_json_fields() {
-        let body = r#"{ "job_ids": [7], "status": "done", "stats_digest": "abc123" }"#;
-        assert_eq!(extract(body, "stats_digest").as_deref(), Some("abc123"));
-        assert_eq!(extract(body, "job_ids").as_deref(), Some("[7]"));
-        assert_eq!(extract(body, "missing"), None);
     }
 
     #[test]

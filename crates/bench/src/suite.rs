@@ -391,7 +391,7 @@ fn region_reference(
 /// one pair's fraction.
 const PROFILE_PAIRS: usize = 5;
 
-/// Observability-overhead measurement: [`PROFILE_PAIRS`] pairs of cold
+/// Observability-overhead measurement: five (`PROFILE_PAIRS`) pairs of cold
 /// suite compiles, recording disabled (the baseline) and enabled
 /// (instrumented), plus the instrumented side's per-stage wall-time
 /// aggregates.
@@ -450,7 +450,7 @@ fn median(mut values: Vec<f64>) -> f64 {
     percentile(&values, 50.0)
 }
 
-/// Runs the overhead profile: [`PROFILE_PAIRS`] pairs, each compiling
+/// Runs the overhead profile: five (`PROFILE_PAIRS`) pairs, each compiling
 /// every suite job twice back to back, once with recording disabled and
 /// once enabled, on two fresh uncached engines, and summing each side's
 /// compile walls. Adjacent compiles see the same machine load, so load

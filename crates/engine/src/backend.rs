@@ -1,4 +1,4 @@
-//! The pluggable compiler backend: one trait, every compiler of the
+//! The pluggable compiler backend: one enum, every compiler of the
 //! workspace behind it.
 
 use tetris_baselines::{generic, max_cancel, paulihedral, pcoast_like, qaoa_2qan};
@@ -59,29 +59,16 @@ impl EngineOutput {
     }
 }
 
-/// A compiler that can participate in engine batches.
-///
-/// Implementations must be pure: the output may depend only on the
-/// Hamiltonian, the graph and the backend's own parameters (all captured by
-/// [`CompileBackend::fingerprint`]), never on ambient state — that is what
-/// makes the content-addressed cache sound and parallel batches
-/// bit-identical to serial ones. Wall-clock time inside
-/// [`CompileStats::compile_seconds`] is the one sanctioned exception.
-pub trait CompileBackend: Send + Sync {
-    /// Short name for reports.
-    fn name(&self) -> &str;
-
-    /// Stable fingerprint of the backend identity *and* every parameter
-    /// that influences its output.
-    fn fingerprint(&self) -> u64;
-
-    /// Runs the compiler.
-    fn compile(&self, hamiltonian: &Hamiltonian, graph: &CouplingGraph) -> EngineOutput;
-}
-
 /// Every compiler of the workspace, as a value. This is the unit batches
 /// sweep over; it is `Copy`-cheap to clone and carries the backend's full
 /// parameterization.
+///
+/// Every backend must be pure: the output may depend only on the
+/// Hamiltonian, the graph and the backend's own parameters (all captured by
+/// [`Backend::fingerprint`]), never on ambient state — that is what makes
+/// the content-addressed cache sound and parallel batches bit-identical to
+/// serial ones. Wall-clock time inside [`CompileStats::compile_seconds`]
+/// is the one sanctioned exception.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Backend {
     /// The Tetris compiler under the given configuration.
@@ -105,8 +92,9 @@ pub enum Backend {
     },
 }
 
-impl CompileBackend for Backend {
-    fn name(&self) -> &str {
+impl Backend {
+    /// Short name for reports.
+    pub fn name(&self) -> &str {
         match self {
             Backend::Tetris(c) if c.scheduler == tetris_core::SchedulerKind::Lookahead => {
                 "Tetris+lookahead"
@@ -121,7 +109,9 @@ impl CompileBackend for Backend {
         }
     }
 
-    fn fingerprint(&self) -> u64 {
+    /// Stable fingerprint of the backend identity *and* every parameter
+    /// that influences its output.
+    pub fn fingerprint(&self) -> u64 {
         let mut h = Fingerprint64::new();
         h.write_bytes(b"tetris-backend/v1");
         match self {
@@ -150,7 +140,8 @@ impl CompileBackend for Backend {
         h.finish()
     }
 
-    fn compile(&self, hamiltonian: &Hamiltonian, graph: &CouplingGraph) -> EngineOutput {
+    /// Runs the compiler.
+    pub fn compile(&self, hamiltonian: &Hamiltonian, graph: &CouplingGraph) -> EngineOutput {
         match self {
             Backend::Tetris(config) => {
                 let r = TetrisCompiler::new(*config).compile(hamiltonian, graph);

@@ -1,6 +1,6 @@
 //! Jobs and results — the units the engine schedules.
 
-use crate::backend::{Backend, CompileBackend, EngineOutput};
+use crate::backend::{Backend, EngineOutput};
 use std::sync::Arc;
 use tetris_obs::StageTimings;
 use tetris_pauli::fingerprint::Fingerprint64;

@@ -25,10 +25,10 @@
 //!   files ([`codec`]) keyed by hex fingerprint, so a second *process*
 //!   pointed at the same directory starts warm — corrupt or truncated
 //!   files degrade to misses, never errors.
-//! * **A pluggable backend** ([`Backend`]) putting the Tetris compiler and
-//!   every baseline (`paulihedral`, `max_cancel`, `pcoast_like`, `generic`,
-//!   `qaoa_2qan`) behind one [`CompileBackend`] trait, so a single batch
-//!   can sweep compilers like-for-like.
+//! * **A pluggable backend**: the [`Backend`] enum puts the Tetris compiler
+//!   and every baseline (`paulihedral`, `max_cancel`, `pcoast_like`,
+//!   `generic`, `qaoa_2qan`) behind one `name`/`fingerprint`/`compile`
+//!   surface, so a single batch can sweep compilers like-for-like.
 //! * **Region scheduling** ([`scheduler`],
 //!   [`RegionScheduler::submit_batch`], blocking form
 //!   [`RegionScheduler::schedule_batch`]): a batch of small workloads is
@@ -85,7 +85,7 @@ pub mod job;
 pub mod pool;
 pub mod scheduler;
 
-pub use backend::{Backend, CompileBackend, EngineOutput};
+pub use backend::{Backend, EngineOutput};
 pub use cache::{CacheStats, ResultCache};
 pub use codec::{decode_output, encode_output, CodecError};
 pub use disk::{DiskCache, DiskStats};

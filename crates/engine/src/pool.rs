@@ -10,7 +10,7 @@
 //! carries its region. `compile_batch` is a sink that reassembles the
 //! answers in submission order.
 
-use crate::backend::{CompileBackend, EngineOutput};
+use crate::backend::EngineOutput;
 use crate::cache::{CacheStats, ResultCache};
 use crate::job::{CompileJob, JobResult};
 use crate::scheduler::{induced_job, relabel_output, resident_key};

@@ -58,7 +58,7 @@
 //! of that batch and of every batch parked on the device; a batch with
 //! nothing runnable waits in the device state, not on a thread.
 
-use crate::backend::{CompileBackend, EngineOutput};
+use crate::backend::EngineOutput;
 use crate::job::{CompileJob, JobResult};
 use crate::pool::{collect_in_order, dispatch, Engine, Sink, WorkItem};
 use std::collections::VecDeque;

@@ -6,7 +6,7 @@
 use std::sync::{Arc, Mutex};
 use tetris_baselines::generic::OptLevel;
 use tetris_core::TetrisConfig;
-use tetris_engine::{Backend, CompileBackend, CompileJob, Engine, EngineConfig};
+use tetris_engine::{Backend, CompileJob, Engine, EngineConfig};
 use tetris_obs::trace::{self, Stage};
 use tetris_pauli::encoder::Encoding;
 use tetris_pauli::qaoa::{maxcut_hamiltonian, Graph};

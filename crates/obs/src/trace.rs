@@ -13,9 +13,10 @@
 //!
 //! Completed jobs are additionally pushed into a bounded process-wide
 //! ring of [`TraceEvent`]s ([`push_event`] / [`recent`]) — the server's
-//! `GET /trace` endpoint and `--trace-log` JSONL writer drain it-adjacent
-//! data from the job results themselves; the ring exists so the last
-//! moments before an incident are inspectable without any log configured.
+//! `GET /trace` endpoint serves the ring, and its `--trace-log` JSONL
+//! writer renders each job's own [`TraceEvent`] ([`event_now`]) as the
+//! same record; the ring exists so the last moments before an incident
+//! are inspectable without any log configured.
 
 use std::cell::Cell;
 use std::collections::VecDeque;

@@ -1,12 +1,13 @@
 //! Routing, handlers, and shared state for the HTTP front-end.
 //!
 //! One front-end serves every socket: a nonblocking `poll(2)` readiness
-//! loop in [`crate::reactor`], with per-connection incremental
-//! parse/write state machines from [`crate::conn`]. Job completions are
-//! pushed back into the loop over a wakeup pipe ([`crate::notify`]),
-//! which is what makes long-polling (`GET /job/<id>?wait=1`) and per-job
-//! result streaming (`POST /batch {"stream": true}`) possible without
-//! parking a thread per waiting client.
+//! loop in the crate's private `reactor` module, with per-connection
+//! incremental parse/write state machines from [`crate::conn`]. Job
+//! completions are pushed back into the loop over a wakeup pipe
+//! ([`crate::notify`]), which is what makes long-polling
+//! (`GET /job/<id>?wait=1`) and per-job result streaming
+//! (`POST /batch {"stream": true}`) possible without parking a thread per
+//! waiting client.
 //!
 //! Routes:
 //!
@@ -100,7 +101,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tetris_engine::{CompileJob, Engine, EngineConfig, JobResult, RegionScheduler};
-use tetris_obs::trace::{self, StageTimings};
+use tetris_obs::trace::{self, StageTimings, TraceEvent};
 
 /// Per-connection idle timeout: a client that sends nothing for this long
 /// between requests is closed instead of holding a socket forever. Doubles
@@ -667,7 +668,16 @@ fn post_batch(state: &Arc<AppState>, body: &[u8]) -> Outcome {
     let on_result = move |result: JobResult| {
         let id = sink_ids[result.index];
         if let Some(path) = &sink_state.config.trace_log {
-            append_trace_log(path, &result);
+            let r = &result;
+            let event = trace::event_now(
+                r.name.as_str(),
+                r.compiler.as_str(),
+                r.cached,
+                r.error.is_some(),
+                r.engine_seconds,
+                r.stages,
+            );
+            append_trace_log(path, &event);
         }
         let done_at = Instant::now();
         {
@@ -713,23 +723,25 @@ pub(crate) fn job_ids_body(ids: &[u64]) -> String {
     format!("{{ \"job_ids\": {ids:?} }}\n")
 }
 
-/// Appends one JSONL record for `r` to the trace log. Failures are
+/// One trace record: a `--trace-log` line and a `GET /trace` entry.
+fn trace_record(e: &TraceEvent) -> String {
+    format!(
+        "{{ \"unix_ms\": {}, \"name\": \"{}\", \"compiler\": \"{}\", \
+         \"cached\": {}, \"error\": {}, \"engine_seconds\": {:.6}, \"stages\": {} }}",
+        e.unix_ms,
+        escape(&e.job),
+        escape(&e.compiler),
+        e.cached,
+        e.error,
+        e.engine_seconds,
+        stages_json(&e.stages, &[]),
+    )
+}
+
+/// Appends `event` to the trace log as one JSONL line. Failures are
 /// counted and swallowed — tracing must never fail a compile.
-fn append_trace_log(path: &std::path::Path, r: &JobResult) {
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
-    let line = format!(
-        "{{ \"unix_ms\": {unix_ms}, \"name\": \"{}\", \"compiler\": \"{}\", \
-         \"cached\": {}, \"error\": {}, \"engine_seconds\": {:.6}, \"stages\": {} }}\n",
-        escape(&r.name),
-        escape(&r.compiler),
-        r.cached,
-        r.error.is_some(),
-        r.engine_seconds,
-        stages_json(&r.stages),
-    );
+fn append_trace_log(path: &std::path::Path, event: &TraceEvent) {
+    let line = trace_record(event) + "\n";
     let written = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -1068,22 +1080,7 @@ fn trace_body(query: &str) -> String {
         .find_map(|kv| kv.strip_prefix("n="))
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(100);
-    let entries: Vec<String> = trace::recent(n)
-        .iter()
-        .map(|e| {
-            format!(
-                "{{ \"unix_ms\": {}, \"name\": \"{}\", \"compiler\": \"{}\", \
-                 \"cached\": {}, \"error\": {}, \"engine_seconds\": {:.6}, \"stages\": {} }}",
-                e.unix_ms,
-                escape(&e.job),
-                escape(&e.compiler),
-                e.cached,
-                e.error,
-                e.engine_seconds,
-                stages_json(&e.stages),
-            )
-        })
-        .collect();
+    let entries: Vec<String> = trace::recent(n).iter().map(trace_record).collect();
     format!("{{ \"events\": [{}] }}\n", entries.join(", "))
 }
 
@@ -1132,12 +1129,15 @@ fn regions_body(state: &AppState) -> String {
     )
 }
 
-/// Renders a stage timeline as a JSON object of its nonzero stages.
-fn stages_json(stages: &StageTimings) -> String {
+/// Renders a stage timeline as a JSON object of its nonzero stages,
+/// followed by the `extra` members.
+fn stages_json(stages: &StageTimings, extra: &[(&str, f64)]) -> String {
     let entries: Vec<String> = stages
         .iter()
         .filter(|(_, secs)| *secs > 0.0)
-        .map(|(stage, secs)| format!("\"{}\": {:.9}", stage.name(), secs))
+        .map(|(stage, secs)| (stage.name(), secs))
+        .chain(extra.iter().copied())
+        .map(|(key, secs)| format!("\"{key}\": {secs:.9}"))
         .collect();
     format!("{{ {} }}", entries.join(", "))
 }
@@ -1145,12 +1145,9 @@ fn stages_json(stages: &StageTimings) -> String {
 /// [`stages_json`] plus busy/total aggregates: `busy_seconds` excludes
 /// queue wait, so it tracks the job's `engine_seconds`.
 fn trace_json(stages: &StageTimings) -> String {
-    let mut entries: Vec<String> = stages
-        .iter()
-        .filter(|(_, secs)| *secs > 0.0)
-        .map(|(stage, secs)| format!("\"{}\": {:.9}", stage.name(), secs))
-        .collect();
-    entries.push(format!("\"busy_seconds\": {:.9}", stages.busy_total()));
-    entries.push(format!("\"total_seconds\": {:.9}", stages.total()));
-    format!("{{ {} }}", entries.join(", "))
+    let aggregates = [
+        ("busy_seconds", stages.busy_total()),
+        ("total_seconds", stages.total()),
+    ];
+    stages_json(stages, &aggregates)
 }

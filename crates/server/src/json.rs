@@ -35,6 +35,11 @@ impl Value {
         }
     }
 
+    /// Member lookup along a dotted path of object keys (`"cache.hits"`).
+    pub fn at(&self, path: &str) -> Option<&Value> {
+        path.split('.').try_fold(self, |v, key| v.get(key))
+    }
+
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -27,6 +27,9 @@
 //! GET  /job/1      → {"id": 1, "status": "done", "cached": false, …}
 //! GET  /stats      → {"threads": 8, "cache": {…}, …}
 //! ```
+//!
+//! [`client`] is the other end of that protocol: it writes one request and
+//! reads one response back, for the tests, the binary and the benches.
 
 #![warn(missing_docs)]
 
@@ -35,6 +38,7 @@
 #[cfg(not(unix))]
 compile_error!("tetris-server runs on unix only: its front end is a poll(2) reactor");
 
+pub mod client;
 pub mod conn;
 pub mod http;
 pub mod json;

@@ -31,7 +31,7 @@ pub struct PollFd {
     pub fd: RawFd,
     /// Requested events (`POLLIN` / `POLLOUT`).
     pub events: i16,
-    /// Returned events, filled by [`poll`].
+    /// Returned events, filled by [`poll_fds`].
     pub revents: i16,
 }
 

@@ -425,7 +425,7 @@ fn touch<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetris_engine::{CompileBackend, CompileJob};
+    use tetris_engine::CompileJob;
 
     #[test]
     fn molecule_names_resolve() {

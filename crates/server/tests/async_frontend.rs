@@ -2,14 +2,19 @@
 //! streaming, admission control, the amortized TTL sweep, and graceful
 //! drain — everything that needs the server to hold a socket open.
 //!
-//! All clients here are raw `TcpStream`s speaking HTTP/1.1 by hand, so
-//! the tests see exact bytes: chunked frames are decoded chunk by chunk
-//! and response bodies are compared bit-for-bit against `GET /job/<id>`.
+//! Clients speak through `tetris_server::client`, so responses are framed
+//! in one place: chunked frames are decoded one by one and compared
+//! bit-for-bit with `GET /job/<id>`, and every JSON body is read with
+//! `json::parse`. `byte_at_a_time_request_is_served` alone writes its own
+//! request bytes, because a request trickled in byte by byte is what it
+//! tests; its response is still read by the client.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tetris_server::client;
+use tetris_server::json::Value;
 use tetris_server::{AppState, CompileServer, ServerConfig};
 
 /// A slow job for tests that need time to observe in-flight state: a
@@ -40,178 +45,56 @@ fn start(config: ServerConfig, threads: usize) -> (String, Arc<AppState>) {
     (addr, state)
 }
 
-/// Sends one request on a fresh `Connection: close` socket.
-fn request(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut stream = connect(addr);
-    send(&mut stream, addr, method, path, body, false);
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let payload = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, payload)
+/// The `status` of a job record body.
+fn status(body: &str) -> Option<String> {
+    let record = client::json(body).expect("job record");
+    record
+        .get("status")
+        .and_then(Value::as_str)
+        .map(str::to_string)
 }
 
-fn connect(addr: &str) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .expect("read timeout");
-    stream
-}
-
-fn send(
-    stream: &mut TcpStream,
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    keep_alive: bool,
-) {
-    let body = body.unwrap_or("");
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("send");
-}
-
-/// Reads status line + headers (byte-wise, so nothing past the head is
-/// consumed). Returns `(status, raw head)`.
-fn read_head(stream: &mut TcpStream) -> (u16, String) {
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        stream.read_exact(&mut byte).expect("head byte");
-        head.push(byte[0]);
-    }
-    let text = String::from_utf8(head).expect("ascii head");
-    let status = text
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    (status, text)
-}
-
-/// Reads a `Content-Length`-framed body following `head`.
-fn read_body(stream: &mut TcpStream, head: &str) -> String {
-    let len: usize = head
-        .lines()
-        .find_map(|l| {
-            let (k, v) = l.split_once(':')?;
-            k.eq_ignore_ascii_case("content-length")
-                .then(|| v.trim().parse().expect("numeric content-length"))
-        })
-        .expect("content-length header");
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body).expect("body");
-    String::from_utf8(body).expect("utf8 body")
-}
-
-/// One keep-alive request/response round trip on an open socket.
-fn round_trip(
-    stream: &mut TcpStream,
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> (u16, String) {
-    send(stream, addr, method, path, body, true);
-    let (status, head) = read_head(stream);
-    (status, read_body(stream, &head))
-}
-
-fn read_line(stream: &mut TcpStream) -> String {
-    let mut line = Vec::new();
-    let mut byte = [0u8; 1];
-    while !line.ends_with(b"\n") {
-        stream.read_exact(&mut byte).expect("line byte");
-        line.push(byte[0]);
-    }
-    String::from_utf8(line).expect("ascii line")
-}
-
-/// Decodes one chunked transfer-encoding frame; `None` on the
-/// terminating zero-length chunk.
-fn read_chunk(stream: &mut TcpStream) -> Option<String> {
-    let size_line = read_line(stream);
-    let size = usize::from_str_radix(size_line.trim(), 16).expect("hex chunk size");
-    if size == 0 {
-        assert_eq!(read_line(stream), "\r\n", "terminator ends with CRLF");
-        return None;
-    }
-    let mut payload = vec![0u8; size];
-    stream.read_exact(&mut payload).expect("chunk payload");
-    let mut crlf = [0u8; 2];
-    stream.read_exact(&mut crlf).expect("chunk CRLF");
-    assert_eq!(&crlf, b"\r\n");
-    Some(String::from_utf8(payload).expect("utf8 frame"))
-}
-
-/// Extracts `"key": "value"` or `"key": value` from a flat JSON body.
-fn field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let rest = &body[body.find(&tag)? + tag.len()..];
-    let rest = rest.trim_start();
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-fn poll_done(addr: &str, id: u64) -> String {
-    let t0 = Instant::now();
-    loop {
-        let (status, body) = request(addr, "GET", &format!("/job/{id}"), None);
-        assert_eq!(status, 200, "poll must succeed: {body}");
-        match field(&body, "status") {
-            Some("done") => return body,
-            Some("pending") => {
-                assert!(
-                    t0.elapsed() < Duration::from_secs(120),
-                    "job {id} did not finish in time"
-                );
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            other => panic!("unexpected status {other:?} in {body}"),
-        }
-    }
+/// Long-polls job `id` to its done record.
+fn poll_done(addr: &str, id: u64) -> Value {
+    let mut socket = client::connect(addr).expect("connect");
+    client::await_job(&mut socket, id).expect("done record")
 }
 
 fn batch_body(specs: &[&str]) -> String {
     format!("{{ \"jobs\": [{}] }}", specs.join(", "))
 }
 
+/// The `error` message of an error body.
+fn error(body: &str) -> String {
+    let record = client::json(body).expect("error record");
+    let message = record.get("error").and_then(Value::as_str);
+    message.expect("error message").to_string()
+}
+
 #[test]
 fn healthz_reports_liveness_cheaply() {
     let (addr, _) = start(ServerConfig::default(), 1);
-    let (status, body) = request(&addr, "GET", "/healthz", None);
-    assert_eq!(status, 200, "{body}");
-    let inflight: u64 = field(&body, "inflight")
-        .expect("inflight")
-        .parse()
-        .expect("numeric");
-    let connections: u64 = field(&body, "connections")
-        .expect("connections")
-        .parse()
-        .expect("numeric");
-    assert_eq!(inflight, 0, "nothing submitted yet: {body}");
-    assert!(connections >= 1, "the probing socket itself counts: {body}");
-    assert_eq!(request(&addr, "POST", "/healthz", None).0, 405);
+    let health = client::request(&addr, "GET", "/healthz", "").expect("healthz");
+    assert_eq!(health.head.status, 200, "{}", health.body);
+    let health = client::json(&health.body).expect("healthz body");
+    let number = |key| health.get(key).and_then(Value::as_num);
+    assert_eq!(
+        number("inflight"),
+        Some(0.0),
+        "nothing submitted yet: {health:?}"
+    );
+    assert!(
+        number("connections").expect("connections") >= 1.0,
+        "the probing socket itself counts: {health:?}"
+    );
+    let post = client::request(&addr, "POST", "/healthz", "").expect("POST /healthz");
+    assert_eq!(post.head.status, 405);
 }
 
 #[test]
 fn byte_at_a_time_request_is_served() {
     let (addr, _) = start(ServerConfig::default(), 1);
-    let mut stream = connect(&addr);
+    let mut stream = client::connect(&addr).expect("connect");
     // Trickle the request in: the reactor must accumulate fragments across
     // many poll rounds and answer once the head completes.
     for byte in b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n" {
@@ -220,33 +103,37 @@ fn byte_at_a_time_request_is_served() {
             .expect("send byte");
         std::thread::sleep(Duration::from_millis(1));
     }
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
-    assert!(response.contains("\"connections\""), "{response}");
+    let head = client::read_head(&mut stream).expect("head");
+    assert_eq!(head.status, 200, "{}", head.text);
+    let body = client::read_body(&mut stream, &head).expect("body");
+    let health = client::json(&body).expect("healthz body");
+    assert!(health.get("connections").is_some(), "{body}");
 }
 
 #[test]
 fn long_poll_answers_on_completion_and_matches_polled_body() {
     let (addr, _) = start(ServerConfig::default(), 1);
-    let (status, body) = request(&addr, "POST", "/batch", Some(&batch_body(&[HEAVY])));
-    assert_eq!(status, 200, "{body}");
+    let submit = client::request(&addr, "POST", "/batch", &batch_body(&[HEAVY]));
+    assert_eq!(submit.expect("submit").head.status, 200);
 
     // The park answers with the done record the moment the job finishes —
     // a single request replaces the whole busy-poll loop.
-    let (status, waited) = request(&addr, "GET", "/job/1?wait=1", None);
-    assert_eq!(status, 200, "{waited}");
-    assert_eq!(field(&waited, "status"), Some("done"), "{waited}");
+    let waited = client::request(&addr, "GET", "/job/1?wait=1", "").expect("wait");
+    assert_eq!(waited.head.status, 200, "{}", waited.body);
+    assert_eq!(status(&waited.body).as_deref(), Some("done"));
 
     // Bit-for-bit identical to what a plain poll reads afterwards.
-    let polled = poll_done(&addr, 1);
-    assert_eq!(waited, polled, "long-polled body must equal polled body");
+    let polled = client::request(&addr, "GET", "/job/1", "").expect("poll");
+    assert_eq!(
+        waited.body, polled.body,
+        "long-polled body must equal polled body"
+    );
 
     // wait=1 on an already-done job answers immediately.
     let t0 = Instant::now();
-    let (status, again) = request(&addr, "GET", "/job/1?wait=1", None);
-    assert_eq!(status, 200);
-    assert_eq!(again, polled);
+    let again = client::request(&addr, "GET", "/job/1?wait=1", "").expect("wait");
+    assert_eq!(again.head.status, 200);
+    assert_eq!(again.body, polled.body);
     assert!(
         t0.elapsed() < Duration::from_secs(5),
         "done job must not park"
@@ -260,22 +147,18 @@ fn long_poll_timeout_falls_back_to_pending() {
     // deterministically pending however fast the machine is.
     const BLOCKER: &str = r#"{"workload": "UCC-28", "backend": "tetris", "device": "heavy-hex"}"#;
     let (addr, _) = start(ServerConfig::default(), 1);
-    let (status, body) = request(
-        &addr,
-        "POST",
-        "/batch",
-        Some(&batch_body(&[BLOCKER, HEAVY])),
-    );
-    assert_eq!(status, 200, "{body}");
+    let submit = client::request(&addr, "POST", "/batch", &batch_body(&[BLOCKER, HEAVY]));
+    assert_eq!(submit.expect("submit").head.status, 200);
 
     let t0 = Instant::now();
-    let (status, body) = request(&addr, "GET", "/job/2?wait=1&wait_ms=100", None);
+    let parked = client::request(&addr, "GET", "/job/2?wait=1&wait_ms=100", "").expect("wait");
     let elapsed = t0.elapsed();
-    assert_eq!(status, 200, "{body}");
+    assert_eq!(parked.head.status, 200, "{}", parked.body);
     assert_eq!(
-        field(&body, "status"),
+        status(&parked.body).as_deref(),
         Some("pending"),
-        "timeout must fall back to the pending record: {body}"
+        "timeout must fall back to the pending record: {}",
+        parked.body
     );
     assert!(
         elapsed >= Duration::from_millis(100),
@@ -293,30 +176,24 @@ fn inflight_cap_sheds_batches_with_retry_after() {
         1,
     );
     // Two jobs against a cap of one: shed whole, nothing enqueued.
-    let mut stream = connect(&addr);
-    send(
-        &mut stream,
-        &addr,
-        "POST",
-        "/batch",
-        Some(&batch_body(&[TINY, TINY])),
-        false,
+    let shed = client::request(&addr, "POST", "/batch", &batch_body(&[TINY, TINY])).expect("shed");
+    assert_eq!(shed.head.status, 503, "{}", shed.body);
+    assert_eq!(
+        shed.head.header("Retry-After"),
+        Some("1"),
+        "shed responses must carry Retry-After: {}",
+        shed.head.text
     );
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    assert!(response.starts_with("HTTP/1.1 503"), "{response}");
-    assert!(
-        response.contains("Retry-After: 1"),
-        "shed responses must carry Retry-After: {response}"
-    );
-    assert!(response.contains("in-flight"), "{response}");
+    assert!(error(&shed.body).contains("in-flight"), "{}", shed.body);
 
     // Nothing was enqueued, so a batch that fits is admitted.
-    let (status, body) = request(&addr, "POST", "/batch", Some(&batch_body(&[TINY])));
-    assert_eq!(status, 200, "a fitting batch must be admitted: {body}");
-    assert!(
-        body.contains("\"job_ids\": [1]"),
-        "ids start after the shed batch reserved none: {body}"
+    let fits = client::request(&addr, "POST", "/batch", &batch_body(&[TINY])).expect("submit");
+    assert_eq!(fits.head.status, 200, "a fitting batch must be admitted");
+    assert_eq!(
+        client::json(&fits.body).expect("ack").get("job_ids"),
+        Some(&Value::Arr(vec![Value::Num(1.0)])),
+        "ids start after the shed batch reserved none: {}",
+        fits.body
     );
     poll_done(&addr, 1);
 }
@@ -335,8 +212,8 @@ fn oversized_batch_is_shed_before_any_registry_build() {
         r#"{"workload": "REG3-10-s2", "backend": "maxcancel", "device": "ring-11"}"#,
         r#"{"workload": "REG3-10-s3", "backend": "maxcancel", "device": "ring-11"}"#,
     ];
-    let (status, body) = request(&addr, "POST", "/batch", Some(&batch_body(&specs)));
-    assert_eq!(status, 503, "{body}");
+    let shed = client::request(&addr, "POST", "/batch", &batch_body(&specs)).expect("shed");
+    assert_eq!(shed.head.status, 503, "{}", shed.body);
     assert_eq!(
         state.registry_stats().builds,
         0,
@@ -344,8 +221,8 @@ fn oversized_batch_is_shed_before_any_registry_build() {
     );
     assert_eq!(state.admission_counters().2, 1);
 
-    let (status, body) = request(&addr, "POST", "/batch", Some(&batch_body(&specs[..2])));
-    assert_eq!(status, 200, "{body}");
+    let fits = client::request(&addr, "POST", "/batch", &batch_body(&specs[..2])).expect("submit");
+    assert_eq!(fits.head.status, 200, "{}", fits.body);
     assert_eq!(
         state.registry_stats().builds,
         3,
@@ -358,36 +235,34 @@ fn oversized_batch_is_shed_before_any_registry_build() {
 #[test]
 fn repeat_names_hit_the_memo_and_stats_match_metrics() {
     let (addr, state) = start(ServerConfig::default(), 1);
-    let (status, body) = request(&addr, "POST", "/batch", Some(&batch_body(&[TINY])));
-    assert_eq!(status, 200, "{body}");
+    let submit = client::request(&addr, "POST", "/batch", &batch_body(&[TINY]));
+    assert_eq!(submit.expect("submit").head.status, 200);
     poll_done(&addr, 1);
     let first = state.registry_stats();
     assert_eq!((first.hits, first.builds), (0, 2), "{first:?}");
 
     // The re-POST is served from the server-lifetime memo.
-    let (status, body) = request(&addr, "POST", "/batch", Some(&batch_body(&[TINY])));
-    assert_eq!(status, 200, "{body}");
+    let submit = client::request(&addr, "POST", "/batch", &batch_body(&[TINY]));
+    assert_eq!(submit.expect("resubmit").head.status, 200);
     let again = poll_done(&addr, 2);
-    assert_eq!(field(&again, "cached"), Some("true"), "{again}");
+    assert_eq!(again.get("cached"), Some(&Value::Bool(true)), "{again:?}");
     let second = state.registry_stats();
     assert_eq!((second.hits, second.builds), (2, 2), "{second:?}");
     assert_eq!(second.terms, first.terms);
 
-    let (_, stats) = request(&addr, "GET", "/stats", None);
-    let registry = &stats[stats.find("\"registry\":").expect("registry object")..];
+    let stats = client::request(&addr, "GET", "/stats", "").expect("stats");
+    let stats = client::json(&stats.body).expect("stats body");
     for (key, value) in [
-        ("hits", second.hits),
-        ("builds", second.builds),
-        ("evictions", second.evictions),
-        ("terms", second.terms as u64),
+        ("registry.hits", second.hits),
+        ("registry.builds", second.builds),
+        ("registry.evictions", second.evictions),
+        ("registry.terms", second.terms as u64),
     ] {
-        assert_eq!(
-            field(registry, key),
-            Some(value.to_string().as_str()),
-            "{stats}"
-        );
+        let served = stats.at(key).and_then(Value::as_num);
+        assert_eq!(served, Some(value as f64), "{key} in {stats:?}");
     }
-    let (_, metrics) = request(&addr, "GET", "/metrics", None);
+    let metrics = client::request(&addr, "GET", "/metrics", "").expect("metrics");
+    let metrics = metrics.body;
     assert!(metrics.contains("# TYPE tetris_threads gauge"), "{metrics}");
     let value = |series: &str| -> u64 {
         let prefix = format!("{series} ");
@@ -418,23 +293,27 @@ fn connection_cap_sheds_new_sockets() {
     );
     // Fill both slots with live keep-alive sockets (a completed round trip
     // proves each is registered, not just in the accept queue).
-    let mut a = connect(&addr);
-    assert_eq!(round_trip(&mut a, &addr, "GET", "/healthz", None).0, 200);
-    let mut b = connect(&addr);
-    assert_eq!(round_trip(&mut b, &addr, "GET", "/healthz", None).0, 200);
+    let mut a = client::connect(&addr).expect("connect");
+    let health = client::round_trip(&mut a, "GET", "/healthz", "", true).expect("a");
+    assert_eq!(health.head.status, 200);
+    let mut b = client::connect(&addr).expect("connect");
+    let health = client::round_trip(&mut b, "GET", "/healthz", "", true).expect("b");
+    assert_eq!(health.head.status, 200);
 
     // The third socket is answered 503 and closed at accept time.
-    let mut c = connect(&addr);
-    let mut response = String::new();
-    c.read_to_string(&mut response).expect("receive");
-    assert!(response.starts_with("HTTP/1.1 503"), "{response}");
-    assert!(response.contains("Retry-After: 1"), "{response}");
-    assert!(response.contains("too many connections"), "{response}");
+    let mut c = client::connect(&addr).expect("connect");
+    let head = client::read_head(&mut c).expect("shed head");
+    assert_eq!(head.status, 503, "{}", head.text);
+    assert_eq!(head.header("Retry-After"), Some("1"), "{}", head.text);
+    let body = client::read_body(&mut c, &head).expect("shed body");
+    assert!(error(&body).contains("too many connections"), "{body}");
+    assert_eq!(c.read(&mut [0; 1]).expect("read to close"), 0, "closed");
 
     // Still-open sockets keep working, and the scrape (through one of
     // them) shows the connection/backpressure series.
-    let (status, metrics) = round_trip(&mut a, &addr, "GET", "/metrics", None);
-    assert_eq!(status, 200);
+    let scrape = client::round_trip(&mut a, "GET", "/metrics", "", true).expect("scrape");
+    assert_eq!(scrape.head.status, 200);
+    let metrics = scrape.body;
     for series in [
         "tetris_http_connections 2",
         "tetris_http_shed_total{reason=\"connections\"} 1",
@@ -468,55 +347,60 @@ fn streamed_frames_arrive_before_batch_completes(resident: bool, heavy: &str) {
     // `resident`, the seed leaves TINY's region free and its relabeled
     // artifact cached).
     let seed = format!("{{ \"jobs\": [{TINY}], \"resident\": {resident} }}");
-    let (status, body) = request(&addr, "POST", "/batch", Some(&seed));
-    assert_eq!(status, 200, "{body}");
+    let submit = client::request(&addr, "POST", "/batch", &seed).expect("seed");
+    assert_eq!(submit.head.status, 200, "{}", submit.body);
     poll_done(&addr, 1);
 
-    let mut stream = connect(&addr);
+    let mut stream = client::connect(&addr).expect("connect");
     let batch =
         format!("{{ \"jobs\": [{TINY}, {heavy}], \"stream\": true, \"resident\": {resident} }}");
-    send(&mut stream, &addr, "POST", "/batch", Some(&batch), true);
-    let (status, head) = read_head(&mut stream);
-    assert_eq!(status, 200, "{head}");
+    client::write_request(&mut stream, "POST", "/batch", &batch, true).expect("send");
+    let head = client::read_head(&mut stream).expect("head");
+    assert_eq!(head.status, 200, "{}", head.text);
     assert!(
-        head.to_ascii_lowercase()
-            .contains("transfer-encoding: chunked"),
-        "streaming must be chunked: {head}"
+        head.is_chunked(),
+        "streaming must be chunked: {}",
+        head.text
     );
+    let mut frame = || client::read_chunk(&mut stream).expect("chunk");
+    let record = |frame: &str| client::json(frame).expect("frame record");
+    let number = |frame: &str, key| record(frame).get(key).and_then(Value::as_num);
 
     // Frame 1: the job-ids acknowledgment.
-    let ack = read_chunk(&mut stream).expect("ack frame");
-    assert!(ack.contains("\"job_ids\": [2, 3]"), "{ack}");
+    let ack = frame().expect("ack frame");
+    let ids = Value::Arr(vec![Value::Num(2.0), Value::Num(3.0)]);
+    assert_eq!(record(&ack).get("job_ids"), Some(&ids), "{ack}");
 
     // Frame 2: the cached job, pushed while the heavy one is still
     // compiling — proven by a pending poll on a second socket taken
     // between the two frames.
-    let first = read_chunk(&mut stream).expect("first result frame");
-    assert_eq!(field(&first, "id"), Some("2"), "{first}");
-    assert_eq!(field(&first, "status"), Some("done"), "{first}");
-    assert_eq!(first.contains("\"region\""), resident, "{first}");
-    let (_, sibling) = request(&addr, "GET", "/job/3", None);
+    let first = frame().expect("first result frame");
+    assert_eq!(number(&first, "id"), Some(2.0), "{first}");
+    assert_eq!(status(&first).as_deref(), Some("done"), "{first}");
+    assert_eq!(record(&first).get("region").is_some(), resident, "{first}");
+    let sibling = client::request(&addr, "GET", "/job/3", "").expect("sibling");
     assert_eq!(
-        field(&sibling, "status"),
+        status(&sibling.body).as_deref(),
         Some("pending"),
         "the heavy sibling must still be in flight when the cached \
-         job's frame arrives (resident: {resident}): {sibling}"
+         job's frame arrives (resident: {resident}): {}",
+        sibling.body
     );
     // Frame 3: the heavy job, then the terminating chunk.
-    let second = read_chunk(&mut stream).expect("second result frame");
-    assert_eq!(field(&second, "id"), Some("3"), "{second}");
-    assert_eq!(field(&second, "status"), Some("done"), "{second}");
-    assert!(read_chunk(&mut stream).is_none(), "stream must terminate");
+    let second = frame().expect("second result frame");
+    assert_eq!(number(&second, "id"), Some(3.0), "{second}");
+    assert_eq!(status(&second).as_deref(), Some("done"), "{second}");
+    assert!(frame().is_none(), "stream must terminate");
 
     // Every frame is bit-for-bit the body `GET /job/<id>` serves.
-    let (_, polled2) = request(&addr, "GET", "/job/2", None);
-    let (_, polled3) = request(&addr, "GET", "/job/3", None);
-    assert_eq!(first, polled2, "frame must equal the polled body");
-    assert_eq!(second, polled3, "frame must equal the polled body");
+    let polled2 = client::request(&addr, "GET", "/job/2", "").expect("poll");
+    let polled3 = client::request(&addr, "GET", "/job/3", "").expect("poll");
+    assert_eq!(first, polled2.body, "frame must equal the polled body");
+    assert_eq!(second, polled3.body, "frame must equal the polled body");
 
     // The socket is reusable after the terminating chunk.
-    let (status, body) = round_trip(&mut stream, &addr, "GET", "/healthz", None);
-    assert_eq!(status, 200, "keep-alive must survive a stream: {body}");
+    let health = client::round_trip(&mut stream, "GET", "/healthz", "", true).expect("healthz");
+    assert_eq!(health.head.status, 200, "keep-alive must survive a stream");
 }
 
 #[test]
@@ -529,8 +413,8 @@ fn expired_jobs_vanish_on_reactor_tick_without_access() {
         },
         1,
     );
-    let (status, body) = request(&addr, "POST", "/batch", Some(&batch_body(&[TINY])));
-    assert_eq!(status, 200, "{body}");
+    let submit = client::request(&addr, "POST", "/batch", &batch_body(&[TINY]));
+    assert_eq!(submit.expect("submit").head.status, 200);
     poll_done(&addr, 1);
     assert_eq!(state.job_count(), 1, "done record present before the TTL");
     // No HTTP access from here on: only the reactor's amortized sweep tick
@@ -547,24 +431,26 @@ fn expired_jobs_vanish_on_reactor_tick_without_access() {
 #[test]
 fn graceful_drain_finishes_longpolls_then_refuses_connects() {
     let (addr, state) = start(ServerConfig::default(), 1);
-    let (status, body) = request(&addr, "POST", "/batch", Some(&batch_body(&[HEAVY])));
-    assert_eq!(status, 200, "{body}");
+    let submit = client::request(&addr, "POST", "/batch", &batch_body(&[HEAVY]));
+    assert_eq!(submit.expect("submit").head.status, 200);
 
     // Park a long-poll, then ask the server to drain while it waits.
-    let mut parked = connect(&addr);
-    send(&mut parked, &addr, "GET", "/job/1?wait=1", None, true);
+    let mut parked = client::connect(&addr).expect("connect");
+    client::write_request(&mut parked, "GET", "/job/1?wait=1", "", true).expect("send");
     std::thread::sleep(Duration::from_millis(100));
     state.handle().shutdown();
 
     // The drain must let the park finish: the full done record arrives,
-    // then the server closes the socket (EOF ends the read).
-    let mut response = String::new();
-    parked.read_to_string(&mut response).expect("receive");
-    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
-    assert!(
-        response.contains("\"status\": \"done\""),
-        "a parked long-poll must be answered, not dropped, on drain: {response}"
+    // then the server closes the socket.
+    let head = client::read_head(&mut parked).expect("head");
+    assert_eq!(head.status, 200, "{}", head.text);
+    let body = client::read_body(&mut parked, &head).expect("body");
+    assert_eq!(
+        status(&body).as_deref(),
+        Some("done"),
+        "a parked long-poll must be answered, not dropped, on drain: {body}"
     );
+    assert_eq!(parked.read(&mut [0; 1]).expect("read to close"), 0);
 
     // New connections are refused once the listener is gone.
     let t0 = Instant::now();

@@ -6,9 +6,9 @@
 //! tests as threads of one process, so any sibling test would move the
 //! OS thread count this test samples.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
+use tetris_server::client;
+use tetris_server::json::Value;
 use tetris_server::{CompileServer, ServerConfig};
 
 /// The process's OS thread count, from `/proc/self/status`.
@@ -21,25 +21,11 @@ fn os_threads() -> usize {
         .expect("Threads: line")
 }
 
-/// Sends one request on a fresh `Connection: close` socket; returns the
-/// response body.
-fn request(addr: &str, method: &str, path: &str, body: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .expect("read timeout");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
-    response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default()
+/// `method path` on a fresh connection: a `200` body, parsed.
+fn call(addr: &str, method: &str, path: &str, body: &str) -> Value {
+    let response = client::request(addr, method, path, body).expect("request");
+    assert_eq!(response.head.status, 200, "{}", response.body);
+    client::json(&response.body).expect("JSON body")
 }
 
 #[cfg(target_os = "linux")]
@@ -68,8 +54,8 @@ fn contending_region_batches_spawn_no_threads() {
         let body = format!(
             r#"{{ "resident": true, "jobs": [{{"workload": "REG3-12-s{k}", "backend": "tetris", "device": "grid-4x4"}}] }}"#
         );
-        let ack = request(&addr, "POST", "/batch", &body);
-        assert!(ack.contains("job_ids"), "{ack}");
+        let ack = call(&addr, "POST", "/batch", &body);
+        assert!(ack.get("job_ids").is_some(), "{ack:?}");
         peak = peak.max(os_threads());
     }
 
@@ -77,10 +63,10 @@ fn contending_region_batches_spawn_no_threads() {
     for id in 1..=BATCHES {
         loop {
             peak = peak.max(os_threads());
-            let record = request(&addr, "GET", &format!("/job/{id}"), "");
-            if record.contains("\"status\": \"done\"") {
-                assert!(!record.contains("\"error\""), "{record}");
-                assert!(record.contains("\"region\""), "{record}");
+            let record = call(&addr, "GET", &format!("/job/{id}"), "");
+            if record.get("status").and_then(Value::as_str) == Some("done") {
+                assert!(record.get("error").is_none(), "{record:?}");
+                assert!(record.get("region").is_some(), "{record:?}");
                 break;
             }
             assert!(Instant::now() < deadline, "job {id} never finished");

@@ -2,68 +2,48 @@
 //!
 //! Submits a batch over HTTP, polls it to completion and checks the served
 //! result is bit-for-bit the result a direct `compile_batch` call produces
-//! (via the deterministic `stats_digest`). `tests/serve_binary.rs` drives
-//! the `tetris serve` binary itself for what only a separate process shows.
+//! (via the deterministic `stats_digest`). Requests go through
+//! `tetris_server::client` and every JSON body is read with `json::parse`,
+//! each key named by its path (`cache.hits`, `scheduler.queue_depth`). The
+//! `Connection: close, TE`, HTTP/1.0 and chunked-request cases of
+//! `keep_alive_serves_many_requests_on_one_socket` write their own request
+//! bytes, because those bytes are what they test. `tests/serve_binary.rs`
+//! drives the `tetris serve` binary itself for what only a separate
+//! process shows.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tetris_engine::{CompileJob, Engine, EngineConfig};
+use tetris_server::client;
+use tetris_server::json::{self, Value};
 use tetris_server::{registry, CompileServer, ServerConfig};
 
-/// Sends one HTTP/1.1 request and returns `(status, body)`.
-fn request(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let body = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let payload = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, payload)
+/// `method path` on a fresh connection: the status and the parsed body.
+fn call(addr: &str, method: &str, path: &str, body: &str) -> (u16, Value) {
+    let response = client::request(addr, method, path, body).expect("request");
+    let parsed = client::json(&response.body).expect("JSON body");
+    (response.head.status, parsed)
 }
 
-/// Extracts `"key": "value"` or `"key": value` from a flat JSON body
-/// (enough for assertions; the server emits no nested keys that collide).
-fn field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let rest = &body[body.find(&tag)? + tag.len()..];
-    let rest = rest.trim_start();
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"'))
+/// The string at `path` in a JSON record.
+fn text<'a>(record: &'a Value, path: &str) -> Option<&'a str> {
+    record.at(path).and_then(Value::as_str)
 }
 
-fn poll_done(addr: &str, id: u64, timeout: Duration) -> String {
-    let t0 = Instant::now();
-    loop {
-        let (status, body) = request(addr, "GET", &format!("/job/{id}"), None);
-        assert_eq!(status, 200, "poll must succeed: {body}");
-        match field(&body, "status") {
-            Some("done") => return body,
-            Some("pending") => {
-                assert!(t0.elapsed() < timeout, "job {id} did not finish in time");
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            other => panic!("unexpected status {other:?} in {body}"),
-        }
-    }
+/// The number at `path` in a JSON record.
+fn number(record: &Value, path: &str) -> Option<f64> {
+    record.at(path).and_then(Value::as_num)
 }
 
-fn start_server() -> String {
-    let server = CompileServer::bind(
+/// Long-polls job `id` to its done record.
+fn poll_done(addr: &str, id: u64) -> Value {
+    let mut socket = client::connect(addr).expect("connect");
+    client::await_job(&mut socket, id).expect("done record")
+}
+
+fn start_server(config: ServerConfig) -> String {
+    let server = CompileServer::bind_with(
         "127.0.0.1:0",
         EngineConfig {
             threads: 2,
@@ -71,6 +51,7 @@ fn start_server() -> String {
             cache_dir: None,
             cache_max_bytes: None,
         },
+        config,
     )
     .expect("bind ephemeral port");
     let addr = server.local_addr().to_string();
@@ -80,7 +61,7 @@ fn start_server() -> String {
 
 #[test]
 fn batch_round_trips_and_matches_direct_compilation() {
-    let addr = start_server();
+    let addr = start_server(ServerConfig::default());
 
     // Small, fast workloads (debug builds run this test too).
     let body = r#"{ "jobs": [
@@ -88,13 +69,13 @@ fn batch_round_trips_and_matches_direct_compilation() {
         {"workload": "REG3-12-s7", "backend": "2qan-s7", "device": "grid-4x4"},
         {"workload": "REG3-12-s7", "backend": "tetris", "device": "grid-4x4"}
     ] }"#;
-    let (status, response) = request(&addr, "POST", "/batch", Some(body));
-    assert_eq!(status, 200, "submit: {response}");
-    assert!(response.contains("\"job_ids\": [1, 2, 3]"), "{response}");
+    let (status, ack) = call(&addr, "POST", "/batch", body);
+    assert_eq!(status, 200, "submit: {ack:?}");
+    assert_eq!(ack.get("job_ids"), Some(&json::parse("[1, 2, 3]").unwrap()));
 
-    let first = poll_done(&addr, 1, Duration::from_secs(120));
-    let second = poll_done(&addr, 2, Duration::from_secs(120));
-    let third = poll_done(&addr, 3, Duration::from_secs(120));
+    let first = poll_done(&addr, 1);
+    let second = poll_done(&addr, 2);
+    let third = poll_done(&addr, 3);
 
     // The served results must be bit-identical (modulo wall clock) to a
     // direct engine run of the same specs.
@@ -123,55 +104,51 @@ fn batch_round_trips_and_matches_direct_compilation() {
     let expect_digest = |r: &tetris_engine::JobResult| format!("{:016x}", r.output.stats_digest());
 
     assert_eq!(
-        field(&first, "stats_digest").expect("digest"),
-        expect_digest(&direct[0]),
+        text(&first, "stats_digest"),
+        Some(expect_digest(&direct[0]).as_str()),
         "served tetris result differs from direct compile_batch"
     );
     assert_eq!(
-        field(&second, "stats_digest").expect("digest"),
-        expect_digest(&direct[1]),
+        text(&second, "stats_digest"),
+        Some(expect_digest(&direct[1]).as_str()),
         "served 2qan result differs from direct compile_batch"
     );
-    assert_eq!(field(&first, "compiler"), Some("Tetris+lookahead"));
-    assert!(field(&first, "gates").unwrap().parse::<usize>().unwrap() > 0);
+    assert_eq!(text(&first, "compiler"), Some("Tetris+lookahead"));
+    assert!(number(&first, "gates").expect("gates") > 0.0);
 
     // Job 3 duplicates job 1 inside the batch: coalesced into a cache hit
     // with the same digest.
-    assert_eq!(field(&third, "cached"), Some("true"));
-    assert_eq!(field(&third, "stats_digest"), field(&first, "stats_digest"));
+    assert_eq!(third.get("cached"), Some(&Value::Bool(true)));
+    assert_eq!(text(&third, "stats_digest"), text(&first, "stats_digest"));
 
     // A repeat submission is served from the cache.
-    let (status, response) = request(
+    let (status, ack) = call(
         &addr,
         "POST",
         "/batch",
-        Some(
-            r#"{ "jobs": [{"workload": "REG3-12-s7", "backend": "tetris", "device": "grid-4x4"}] }"#,
-        ),
+        r#"{ "jobs": [{"workload": "REG3-12-s7", "backend": "tetris", "device": "grid-4x4"}] }"#,
     );
-    assert_eq!(status, 200, "{response}");
-    let repeat = poll_done(&addr, 4, Duration::from_secs(120));
-    assert_eq!(field(&repeat, "cached"), Some("true"));
-    assert_eq!(
-        field(&repeat, "stats_digest"),
-        field(&first, "stats_digest")
-    );
+    assert_eq!(status, 200, "{ack:?}");
+    let repeat = poll_done(&addr, 4);
+    assert_eq!(repeat.get("cached"), Some(&Value::Bool(true)));
+    assert_eq!(text(&repeat, "stats_digest"), text(&first, "stats_digest"));
 
     // /stats reflects the traffic.
-    let (status, stats) = request(&addr, "GET", "/stats", None);
+    let (status, stats) = call(&addr, "GET", "/stats", "");
     assert_eq!(status, 200);
-    assert_eq!(field(&stats, "jobs_total"), Some("4"));
-    assert_eq!(field(&stats, "jobs_pending"), Some("0"));
-    assert!(field(&stats, "hits").unwrap().parse::<u64>().unwrap() >= 2);
+    assert_eq!(number(&stats, "jobs_total"), Some(4.0));
+    assert_eq!(number(&stats, "jobs_pending"), Some(0.0));
+    assert!(number(&stats, "cache.hits").expect("cache.hits") >= 2.0);
 
     // The qasm flag embeds a circuit.
-    let (_, with_qasm) = request(&addr, "GET", "/job/1?qasm=1", None);
-    assert!(with_qasm.contains("OPENQASM 2.0"), "qasm embedded");
+    let (_, with_qasm) = call(&addr, "GET", "/job/1?qasm=1", "");
+    let qasm = text(&with_qasm, "qasm").expect("qasm embedded");
+    assert!(qasm.contains("OPENQASM 2.0"), "{qasm}");
 }
 
 #[test]
 fn bad_requests_are_rejected_not_fatal() {
-    let addr = start_server();
+    let addr = start_server(ServerConfig::default());
 
     for (body, why) in [
         ("{", "malformed JSON"),
@@ -198,212 +175,144 @@ fn bad_requests_are_rejected_not_fatal() {
             "removed shard flag",
         ),
     ] {
-        let (status, response) = request(&addr, "POST", "/batch", Some(body));
-        assert_eq!(status, 400, "{why} must 400: {response}");
-        assert!(response.contains("error"), "{why}: {response}");
-        if body.contains("shard") {
+        let (status, response) = call(&addr, "POST", "/batch", body);
+        assert_eq!(status, 400, "{why} must 400: {response:?}");
+        let error = text(&response, "error").unwrap_or_else(|| panic!("{why}: {response:?}"));
+        if why == "removed shard flag" {
             assert!(
-                response.contains("resident"),
-                "the rejection names the region flag: {response}"
+                error.contains("resident"),
+                "the rejection names the region flag: {error}"
             );
         }
     }
 
     // Nothing was enqueued by any failed batch.
-    let (_, stats) = request(&addr, "GET", "/stats", None);
-    assert_eq!(field(&stats, "jobs_total"), Some("0"));
+    let (_, stats) = call(&addr, "GET", "/stats", "");
+    assert_eq!(number(&stats, "jobs_total"), Some(0.0));
 
     // Unknown routes and ids.
-    assert_eq!(request(&addr, "GET", "/nope", None).0, 404);
-    assert_eq!(request(&addr, "GET", "/job/99", None).0, 404);
-    assert_eq!(request(&addr, "GET", "/job/xyz", None).0, 400);
-    assert_eq!(request(&addr, "DELETE", "/batch", None).0, 405);
+    assert_eq!(call(&addr, "GET", "/nope", "").0, 404);
+    assert_eq!(call(&addr, "GET", "/job/99", "").0, 404);
+    assert_eq!(call(&addr, "GET", "/job/xyz", "").0, 400);
+    assert_eq!(call(&addr, "DELETE", "/batch", "").0, 405);
 
     // The server survives all of the above and still serves work.
-    let (status, _) = request(
+    let (status, _) = call(
         &addr,
         "POST",
         "/batch",
-        Some(
-            r#"{ "jobs": [{"workload": "REG3-8-s1", "backend": "maxcancel", "device": "ring-9"}] }"#,
-        ),
+        r#"{ "jobs": [{"workload": "REG3-8-s1", "backend": "maxcancel", "device": "ring-9"}] }"#,
     );
     assert_eq!(status, 200);
-    let done = poll_done(&addr, 1, Duration::from_secs(120));
-    assert_eq!(field(&done, "compiler"), Some("MaxCancel"));
+    let done = poll_done(&addr, 1);
+    assert_eq!(text(&done, "compiler"), Some("MaxCancel"));
 }
 
-/// Sends one request on an already-open socket and reads exactly one
-/// response (headers + `Content-Length` body), leaving the connection
-/// usable for the next request — the keep-alive client path.
-fn request_on(
-    stream: &mut TcpStream,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> (u16, String, String) {
-    let body = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("send");
-
-    // Read the head byte-wise until the blank line (no BufReader: it
-    // would swallow bytes of the next response on this shared socket).
-    let mut head = Vec::new();
-    while !head.ends_with(b"\r\n\r\n") {
-        let mut byte = [0u8; 1];
-        stream.read_exact(&mut byte).expect("head byte");
-        head.push(byte[0]);
-    }
-    let head = String::from_utf8(head).expect("utf8 head");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| {
-            l.to_ascii_lowercase()
-                .strip_prefix("content-length:")
-                .map(str::to_string)
-        })
-        .expect("content-length header")
-        .trim()
-        .parse()
-        .expect("numeric length");
-    let mut payload = vec![0u8; content_length];
-    stream.read_exact(&mut payload).expect("body");
-    (status, String::from_utf8(payload).expect("utf8 body"), head)
+/// Reads one response the server closes the connection after: its head,
+/// with the body read and the end of the stream checked.
+fn read_last(stream: &mut std::net::TcpStream) -> client::Head {
+    let head = client::read_head(stream).expect("head");
+    client::read_body(stream, &head).expect("body");
+    let closed = stream.read(&mut [0; 1]).expect("read to close") == 0;
+    assert!(closed, "exactly one response, then close: {}", head.text);
+    head
 }
 
 #[test]
 fn keep_alive_serves_many_requests_on_one_socket() {
-    let addr = start_server();
-    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let addr = start_server(ServerConfig::default());
+    let mut stream = client::connect(&addr).expect("connect");
 
     // Several requests back to back on the same connection, mixing
     // methods and routes.
-    let (status, body, head) = request_on(&mut stream, "GET", "/stats", None);
-    assert_eq!(status, 200, "{body}");
-    assert!(
-        head.to_ascii_lowercase().contains("connection: keep-alive"),
-        "server must advertise keep-alive: {head}"
+    let stats = client::round_trip(&mut stream, "GET", "/stats", "", true).expect("stats");
+    assert_eq!(stats.head.status, 200, "{}", stats.body);
+    assert_eq!(
+        stats.head.header("Connection"),
+        Some("keep-alive"),
+        "server must advertise keep-alive: {}",
+        stats.head.text
     );
     let batch =
         r#"{ "jobs": [{"workload": "REG3-8-s1", "backend": "maxcancel", "device": "ring-9"}] }"#;
-    let (status, body, _) = request_on(&mut stream, "POST", "/batch", Some(batch));
-    assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"job_ids\": [1]"), "{body}");
-    // Poll to completion — still the same socket.
-    let t0 = Instant::now();
-    loop {
-        let (status, body, _) = request_on(&mut stream, "GET", "/job/1", None);
-        assert_eq!(status, 200, "{body}");
-        if field(&body, "status") == Some("done") {
-            break;
-        }
-        assert!(
-            t0.elapsed() < Duration::from_secs(120),
-            "job did not finish"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    let ack = client::round_trip(&mut stream, "POST", "/batch", batch, true).expect("batch");
+    assert_eq!(ack.head.status, 200, "{}", ack.body);
+    let ack = client::json(&ack.body).expect("ack");
+    assert_eq!(ack.get("job_ids"), Some(&json::parse("[1]").unwrap()));
+    // Long-poll to completion — still the same socket.
+    client::await_job(&mut stream, 1).expect("done record");
     // Errors mid-connection do not wedge the loop either.
-    let (status, _, _) = request_on(&mut stream, "GET", "/job/999", None);
-    assert_eq!(status, 404);
-    let (status, _, _) = request_on(&mut stream, "GET", "/stats", None);
-    assert_eq!(status, 200, "connection survives a 404");
+    let missing = client::round_trip(&mut stream, "GET", "/job/999", "", true).expect("404");
+    assert_eq!(missing.head.status, 404);
+    let stats = client::round_trip(&mut stream, "GET", "/stats", "", true).expect("stats");
+    assert_eq!(stats.head.status, 200, "connection survives a 404");
 
     // An explicit `Connection: close` is honored even inside a token
     // list: the server answers and then closes its end.
     let request =
         "GET /stats HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\nConnection: close, TE\r\n\r\n";
     stream.write_all(request.as_bytes()).expect("send");
-    let mut rest = String::new();
-    stream.read_to_string(&mut rest).expect("read to close");
-    assert!(rest.starts_with("HTTP/1.1 200"), "{rest}");
-    assert!(
-        rest.to_ascii_lowercase().contains("connection: close"),
-        "{rest}"
-    );
+    let head = read_last(&mut stream);
+    assert_eq!(head.status, 200, "{}", head.text);
+    assert_eq!(head.header("Connection"), Some("close"), "{}", head.text);
 
     // HTTP/1.0 defaults to close (no Connection header at all).
-    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let mut stream = client::connect(&addr).expect("connect");
     let request = "GET /stats HTTP/1.0\r\nHost: test\r\nContent-Length: 0\r\n\r\n";
     stream.write_all(request.as_bytes()).expect("send");
-    let mut rest = String::new();
-    stream.read_to_string(&mut rest).expect("read to close");
-    assert!(rest.starts_with("HTTP/1.1 200"), "{rest}");
-    assert!(
-        rest.to_ascii_lowercase().contains("connection: close"),
-        "1.0 requests must not be kept alive: {rest}"
+    let head = read_last(&mut stream);
+    assert_eq!(head.status, 200, "{}", head.text);
+    assert_eq!(
+        head.header("Connection"),
+        Some("close"),
+        "1.0 requests must not be kept alive: {}",
+        head.text
     );
 
     // Chunked bodies are refused outright: only Content-Length framing is
     // supported, and silently mis-framing a chunked body would desync the
     // keep-alive loop into reading chunks as requests.
-    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let mut stream = client::connect(&addr).expect("connect");
     let request = "POST /batch HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n\
                    2a\r\nnot a request line\r\n0\r\n\r\n";
     stream.write_all(request.as_bytes()).expect("send");
-    let mut rest = String::new();
-    stream.read_to_string(&mut rest).expect("read to close");
-    assert!(rest.starts_with("HTTP/1.1 400"), "{rest}");
-    assert_eq!(
-        rest.matches("HTTP/1.1").count(),
-        1,
-        "exactly one response — chunk lines must not be parsed as requests: {rest}"
-    );
+    // Exactly one response — chunk lines must not be parsed as requests.
+    assert_eq!(read_last(&mut stream).status, 400);
 }
 
 #[test]
 fn observability_endpoints_expose_metrics_and_traces() {
-    let addr = start_server();
+    let addr = start_server(ServerConfig::default());
     // A resident batch lights up the carve and stage series.
     let body = r#"{ "resident": true, "jobs": [
         {"workload": "REG3-8-s1", "backend": "tetris", "device": "grid-4x4"},
         {"workload": "REG3-8-s2", "backend": "tetris", "device": "grid-4x4"}
     ] }"#;
-    let (status, response) = request(&addr, "POST", "/batch", Some(body));
-    assert_eq!(status, 200, "{response}");
-    poll_done(&addr, 1, Duration::from_secs(120));
-    poll_done(&addr, 2, Duration::from_secs(120));
+    let (status, ack) = call(&addr, "POST", "/batch", body);
+    assert_eq!(status, 200, "{ack:?}");
+    poll_done(&addr, 1);
+    poll_done(&addr, 2);
 
     // `?trace=1` adds a per-stage timeline whose busy walls (everything
     // except queue wait) track the engine wall within the 10 % acceptance
     // bound.
-    let (status, traced) = request(&addr, "GET", "/job/1?trace=1", None);
-    assert_eq!(status, 200, "{traced}");
-    assert!(traced.contains("\"trace\":"), "{traced}");
-    let busy: f64 = field(&traced, "busy_seconds")
-        .expect("busy aggregate")
-        .parse()
-        .expect("numeric busy");
-    let engine_seconds: f64 = field(&traced, "engine_seconds")
-        .expect("engine wall")
-        .parse()
-        .expect("numeric wall");
+    let (status, traced) = call(&addr, "GET", "/job/1?trace=1", "");
+    assert_eq!(status, 200, "{traced:?}");
+    let busy = number(&traced, "trace.busy_seconds").expect("busy aggregate");
+    let engine_seconds = number(&traced, "engine_seconds").expect("engine wall");
     assert!(
         (busy - engine_seconds).abs() <= 0.1 * engine_seconds + 1e-4,
-        "trace busy walls {busy} must track engine_seconds {engine_seconds}: {traced}"
+        "trace busy walls {busy} must track engine_seconds {engine_seconds}: {traced:?}"
     );
 
     // /metrics is Prometheus text exposition with engine, cache (both
     // tiers), region and HTTP series present, and nothing in flight or
     // shed once the batch is done.
-    let mut scrape = TcpStream::connect(&addr).expect("connect");
-    scrape
-        .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-        .expect("send");
-    let mut response = String::new();
-    scrape.read_to_string(&mut response).expect("receive");
-    let (head, metrics) = response.split_once("\r\n\r\n").expect("head");
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    assert!(head.contains("\r\nContent-Type: text/plain"), "{head}");
+    let scrape = client::request(&addr, "GET", "/metrics", "").expect("scrape");
+    assert_eq!(scrape.head.status, 200, "{}", scrape.head.text);
+    let content_type = scrape.head.header("Content-Type").expect("Content-Type");
+    assert!(content_type.starts_with("text/plain"), "{content_type}");
+    let metrics = scrape.body;
     for series in [
         "# TYPE tetris_jobs_completed_total counter",
         "tetris_engine_seconds_count",
@@ -432,43 +341,50 @@ fn observability_endpoints_expose_metrics_and_traces() {
     }
 
     // /trace serves recent completions from the ring.
-    let (status, trace) = request(&addr, "GET", "/trace?n=10", None);
+    let (status, trace) = call(&addr, "GET", "/trace?n=10", "");
     assert_eq!(status, 200);
-    assert!(trace.contains("\"events\": ["), "{trace}");
-    assert!(trace.contains("\"engine_seconds\":"), "{trace}");
+    let events = trace.get("events").and_then(Value::as_arr).expect("events");
+    assert!(!events.is_empty(), "{trace:?}");
+    for event in events {
+        assert!(number(event, "engine_seconds").is_some(), "{event:?}");
+    }
 
     // /stats now exposes the previously hidden disk counters, agreeing
     // with the exposition's `tetris_cache_*{tier="disk"}` series, and its
     // memory-tier hits agree with the exposition's hit series.
-    let (_, stats) = request(&addr, "GET", "/stats", None);
-    assert_eq!(field(&stats, "disk_gc_evictions"), Some("0"), "{stats}");
-    assert_eq!(field(&stats, "disk_purged"), Some("0"), "{stats}");
+    let (_, stats) = call(&addr, "GET", "/stats", "");
+    assert_eq!(number(&stats, "cache.disk_gc_evictions"), Some(0.0));
+    assert_eq!(number(&stats, "cache.disk_purged"), Some(0.0));
     let memory_hits = metrics
         .lines()
         .find_map(|l| {
             l.strip_prefix("tetris_cache_lookups_total{tier=\"memory\",outcome=\"hit\"} ")
         })
         .expect("memory hit series");
-    assert_eq!(field(&stats, "hits"), Some(memory_hits), "{stats}");
+    assert_eq!(
+        number(&stats, "cache.hits"),
+        memory_hits.parse().ok(),
+        "{stats:?}"
+    );
 }
 
 #[test]
 fn resident_batches_keep_regions_alive_across_submissions() {
-    let addr = start_server();
+    let addr = start_server(ServerConfig::default());
     let body = r#"{ "resident": true, "jobs": [
         {"workload": "REG3-8-s1", "backend": "tetris", "device": "grid-4x4"},
         {"workload": "REG3-8-s2", "backend": "tetris", "device": "grid-4x4"}
     ] }"#;
-    let (status, response) = request(&addr, "POST", "/batch", Some(body));
-    assert_eq!(status, 200, "{response}");
-    let first = poll_done(&addr, 1, Duration::from_secs(120));
-    let second = poll_done(&addr, 2, Duration::from_secs(120));
-    let parse_region = |body: &str| -> Vec<usize> {
-        let tag = "\"region\": [";
-        let rest = &body[body.find(tag).expect("region field") + tag.len()..];
-        let list = &rest[..rest.find(']').expect("close bracket")];
-        list.split(',')
-            .map(|s| s.trim().parse().expect("qubit index"))
+    let (status, ack) = call(&addr, "POST", "/batch", body);
+    assert_eq!(status, 200, "{ack:?}");
+    let first = poll_done(&addr, 1);
+    let second = poll_done(&addr, 2);
+    let parse_region = |record: &Value| -> Vec<usize> {
+        let qubits = record.get("region").and_then(Value::as_arr);
+        qubits
+            .expect("region field")
+            .iter()
+            .map(|q| q.as_num().expect("qubit index") as usize)
             .collect()
     };
     let a = parse_region(&first);
@@ -479,45 +395,52 @@ fn resident_batches_keep_regions_alive_across_submissions() {
 
     // The carved regions are still alive after the batch: /regions shows
     // two idle residents on the grid, one job served each.
-    let (status, regions) = request(&addr, "GET", "/regions", None);
-    assert_eq!(status, 200, "{regions}");
-    assert_eq!(field(&regions, "carves_performed"), Some("2"), "{regions}");
-    assert_eq!(field(&regions, "carves_skipped"), Some("0"), "{regions}");
-    assert!(regions.contains("\"device\": \"grid-4x4\""), "{regions}");
-    assert_eq!(regions.matches("\"busy\": false").count(), 2, "{regions}");
-    assert_eq!(
-        regions.matches("\"jobs_served\": 1").count(),
-        2,
-        "{regions}"
-    );
+    let (status, regions) = call(&addr, "GET", "/regions", "");
+    assert_eq!(status, 200, "{regions:?}");
+    assert_eq!(number(&regions, "carves_performed"), Some(2.0));
+    assert_eq!(number(&regions, "carves_skipped"), Some(0.0));
+    let devices = regions
+        .get("devices")
+        .and_then(Value::as_arr)
+        .expect("devices");
+    assert_eq!(devices.len(), 1, "{regions:?}");
+    assert_eq!(text(&devices[0], "device"), Some("grid-4x4"));
+    let residents = devices[0].get("regions").and_then(Value::as_arr);
+    let residents = residents.expect("resident regions");
+    assert_eq!(residents.len(), 2, "{regions:?}");
+    for region in residents {
+        assert_eq!(region.get("busy"), Some(&Value::Bool(false)), "{region:?}");
+        assert_eq!(number(region, "jobs_served"), Some(1.0), "{region:?}");
+    }
 
     // A repeat submission reuses the residents: no new carve, artifacts
     // straight from the resident cache, digests unchanged.
-    let (status, response) = request(&addr, "POST", "/batch", Some(body));
-    assert_eq!(status, 200, "{response}");
-    let third = poll_done(&addr, 3, Duration::from_secs(120));
-    let fourth = poll_done(&addr, 4, Duration::from_secs(120));
-    assert_eq!(field(&third, "cached"), Some("true"), "{third}");
-    assert_eq!(field(&fourth, "cached"), Some("true"), "{fourth}");
-    assert_eq!(field(&third, "stats_digest"), field(&first, "stats_digest"));
-    assert_eq!(
-        field(&fourth, "stats_digest"),
-        field(&second, "stats_digest")
-    );
+    let (status, ack) = call(&addr, "POST", "/batch", body);
+    assert_eq!(status, 200, "{ack:?}");
+    let third = poll_done(&addr, 3);
+    let fourth = poll_done(&addr, 4);
+    assert_eq!(third.get("cached"), Some(&Value::Bool(true)), "{third:?}");
+    assert_eq!(fourth.get("cached"), Some(&Value::Bool(true)), "{fourth:?}");
+    assert_eq!(text(&third, "stats_digest"), text(&first, "stats_digest"));
+    assert_eq!(text(&fourth, "stats_digest"), text(&second, "stats_digest"));
     assert_eq!(parse_region(&third), a);
     assert_eq!(parse_region(&fourth), b);
 
     // /regions, /stats and /metrics agree on the carve ledger.
-    let (_, regions) = request(&addr, "GET", "/regions", None);
-    assert_eq!(field(&regions, "carves_performed"), Some("2"), "{regions}");
-    assert_eq!(field(&regions, "carves_skipped"), Some("2"), "{regions}");
-    assert_eq!(field(&regions, "carve_skip_ratio"), Some("0.5000"));
-    let (_, stats) = request(&addr, "GET", "/stats", None);
-    assert_eq!(field(&stats, "carves_performed"), Some("2"), "{stats}");
-    assert_eq!(field(&stats, "carves_skipped"), Some("2"), "{stats}");
-    assert_eq!(field(&stats, "resident_regions"), Some("2"), "{stats}");
-    assert_eq!(field(&stats, "queue_depth"), Some("0"), "{stats}");
-    let (_, metrics) = request(&addr, "GET", "/metrics", None);
+    let (_, regions) = call(&addr, "GET", "/regions", "");
+    assert_eq!(number(&regions, "carves_performed"), Some(2.0));
+    assert_eq!(number(&regions, "carves_skipped"), Some(2.0));
+    assert_eq!(number(&regions, "carve_skip_ratio"), Some(0.5));
+    let (_, stats) = call(&addr, "GET", "/stats", "");
+    for (path, value) in [
+        ("scheduler.carves_performed", 2.0),
+        ("scheduler.carves_skipped", 2.0),
+        ("scheduler.resident_regions", 2.0),
+        ("scheduler.queue_depth", 0.0),
+    ] {
+        assert_eq!(number(&stats, path), Some(value), "{path} in {stats:?}");
+    }
+    let metrics = client::request(&addr, "GET", "/metrics", "").expect("scrape");
     for series in [
         "tetris_carves_performed_total 2",
         "tetris_carves_skipped_total 2",
@@ -527,98 +450,84 @@ fn resident_batches_keep_regions_alive_across_submissions() {
         "tetris_region_queue_depth{device=\"grid-4x4\"} 0",
     ] {
         assert!(
-            metrics.contains(series),
-            "missing `{series}` in:\n{metrics}"
+            metrics.body.contains(series),
+            "missing `{series}` in:\n{}",
+            metrics.body
         );
     }
 
     // A non-boolean resident flag is rejected whole-batch.
-    let (status, response) = request(
+    let (status, response) = call(
         &addr,
         "POST",
         "/batch",
-        Some(r#"{ "resident": 1, "jobs": [{"workload": "REG3-8-s1", "backend": "tetris"}] }"#),
+        r#"{ "resident": 1, "jobs": [{"workload": "REG3-8-s1", "backend": "tetris"}] }"#,
     );
-    assert_eq!(status, 400, "{response}");
+    assert_eq!(status, 400, "{response:?}");
 }
 
 #[test]
 fn trace_log_appends_one_jsonl_record_per_job() {
     let path = std::env::temp_dir().join(format!("tetris-trace-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let server = CompileServer::bind_with(
-        "127.0.0.1:0",
-        EngineConfig {
-            threads: 2,
-            cache_capacity: 64,
-            cache_dir: None,
-            cache_max_bytes: None,
-        },
-        ServerConfig {
-            job_ttl: Duration::from_secs(900),
-            trace_log: Some(path.clone()),
-            ..Default::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr().to_string();
-    server.serve_background();
+    let addr = start_server(ServerConfig {
+        job_ttl: Duration::from_secs(900),
+        trace_log: Some(path.clone()),
+        ..Default::default()
+    });
 
     let batch = r#"{ "jobs": [
         {"workload": "REG3-8-s1", "backend": "maxcancel", "device": "ring-9"},
         {"workload": "REG3-8-s2", "backend": "maxcancel", "device": "ring-9"}
     ] }"#;
-    let (status, response) = request(&addr, "POST", "/batch", Some(batch));
-    assert_eq!(status, 200, "{response}");
-    poll_done(&addr, 1, Duration::from_secs(120));
-    poll_done(&addr, 2, Duration::from_secs(120));
+    let (status, ack) = call(&addr, "POST", "/batch", batch);
+    assert_eq!(status, 200, "{ack:?}");
+    poll_done(&addr, 1);
+    poll_done(&addr, 2);
 
     // The log is written before the job table flips to done, so both
-    // records are on disk by now: one JSON object per line.
-    let text = std::fs::read_to_string(&path).expect("trace log exists");
-    assert_eq!(text.lines().count(), 2, "{text}");
-    for line in text.lines() {
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        for key in [
-            "\"unix_ms\":",
-            "\"name\":",
-            "\"engine_seconds\":",
-            "\"stages\":",
-        ] {
-            assert!(line.contains(key), "missing {key} in {line}");
+    // records are on disk by now: one JSON object per line, each equal to
+    // the job's `/trace` entry on every key but the wall-clock stamp.
+    let (_, trace) = call(&addr, "GET", "/trace?n=1024", "");
+    let events = trace.get("events").and_then(Value::as_arr).expect("events");
+    let without_clock = |record: &Value| match record {
+        Value::Obj(pairs) => {
+            let kept = pairs.iter().filter(|(key, _)| key != "unix_ms");
+            kept.cloned().collect::<Vec<_>>()
         }
+        other => panic!("not an object: {other:?}"),
+    };
+    let text_log = std::fs::read_to_string(&path).expect("trace log exists");
+    assert_eq!(text_log.lines().count(), 2, "{text_log}");
+    for line in text_log.lines() {
+        let record = json::parse(line).expect("one JSON object per line");
+        for key in ["unix_ms", "name", "engine_seconds", "stages"] {
+            assert!(record.get(key).is_some(), "missing {key} in {line}");
+        }
+        let same_job = |event: &&Value| {
+            ["name", "compiler", "engine_seconds"]
+                .iter()
+                .all(|key| event.get(key) == record.get(key))
+        };
+        let event = events
+            .iter()
+            .find(same_job)
+            .expect("the job's /trace entry");
+        assert_eq!(without_clock(event), without_clock(&record), "{line}");
     }
     let _ = std::fs::remove_file(&path);
 }
 
-/// A server whose completed jobs expire after `ttl`.
-fn start_server_with_ttl(ttl: Duration) -> String {
-    let server = CompileServer::bind_with(
-        "127.0.0.1:0",
-        EngineConfig {
-            threads: 2,
-            cache_capacity: 64,
-            cache_dir: None,
-            cache_max_bytes: None,
-        },
-        ServerConfig {
-            job_ttl: ttl,
-            ..Default::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr().to_string();
-    server.serve_background();
-    addr
-}
-
 #[test]
 fn job_table_stays_bounded_with_ttl_and_delete() {
-    // The TTL must comfortably outlive poll_done's 20 ms poll cadence plus
-    // CI scheduler jitter — poll_done hard-asserts 200, so a record that
+    // The TTL must comfortably outlive a wave's submit and long-poll plus
+    // CI scheduler jitter — poll_done fails on a 404, so a record that
     // expires mid-poll would read as a spurious failure.
     let ttl = Duration::from_secs(1);
-    let addr = start_server_with_ttl(ttl);
+    let addr = start_server(ServerConfig {
+        job_ttl: ttl,
+        ..Default::default()
+    });
     let batch =
         r#"{ "jobs": [{"workload": "REG3-8-s1", "backend": "maxcancel", "device": "ring-9"}] }"#;
 
@@ -627,50 +536,47 @@ fn job_table_stays_bounded_with_ttl_and_delete() {
     // submitted.
     let waves = 3;
     for wave in 0..waves {
-        let (status, response) = request(&addr, "POST", "/batch", Some(batch));
-        assert_eq!(status, 200, "{response}");
-        poll_done(&addr, wave + 1, Duration::from_secs(120));
+        let (status, ack) = call(&addr, "POST", "/batch", batch);
+        assert_eq!(status, 200, "{ack:?}");
+        poll_done(&addr, wave + 1);
         std::thread::sleep(ttl + Duration::from_millis(100));
     }
     // Every wave is past its TTL; the next access sweeps them all.
-    let (_, stats) = request(&addr, "GET", "/stats", None);
+    let (_, stats) = call(&addr, "GET", "/stats", "");
     assert_eq!(
-        field(&stats, "jobs_total"),
-        Some("0"),
-        "table must be empty after all TTLs elapsed: {stats}"
+        number(&stats, "jobs_total"),
+        Some(0.0),
+        "table must be empty after all TTLs elapsed: {stats:?}"
     );
-    let expired: u64 = field(&stats, "jobs_expired")
-        .expect("expired counter")
-        .parse()
-        .expect("numeric");
-    assert_eq!(expired, waves, "every completed job expired exactly once");
+    assert_eq!(
+        number(&stats, "jobs_expired"),
+        Some(waves as f64),
+        "every completed job expired exactly once"
+    );
     // Expired ids are gone for good.
-    assert_eq!(request(&addr, "GET", "/job/1", None).0, 404);
+    assert_eq!(call(&addr, "GET", "/job/1", "").0, 404);
 
     // Explicit DELETE: done jobs disappear immediately…
-    let (status, _) = request(&addr, "POST", "/batch", Some(batch));
-    assert_eq!(status, 200);
+    assert_eq!(call(&addr, "POST", "/batch", batch).0, 200);
     let id = waves + 1;
-    poll_done(&addr, id, Duration::from_secs(120));
-    let (status, body) = request(&addr, "DELETE", &format!("/job/{id}"), None);
-    assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"deleted\""), "{body}");
-    assert_eq!(request(&addr, "GET", &format!("/job/{id}"), None).0, 404);
+    poll_done(&addr, id);
+    let (status, deleted) = call(&addr, "DELETE", &format!("/job/{id}"), "");
+    assert_eq!(status, 200, "{deleted:?}");
+    assert_eq!(number(&deleted, "deleted"), Some(id as f64), "{deleted:?}");
+    assert_eq!(call(&addr, "GET", &format!("/job/{id}"), "").0, 404);
     // …and a double delete is a clean 404.
-    assert_eq!(request(&addr, "DELETE", &format!("/job/{id}"), None).0, 404);
+    assert_eq!(call(&addr, "DELETE", &format!("/job/{id}"), "").0, 404);
 
     // Deleting a job while (possibly still) pending must not let the
     // worker resurrect the record when it finishes.
-    let (status, _) = request(&addr, "POST", "/batch", Some(batch));
-    assert_eq!(status, 200);
+    assert_eq!(call(&addr, "POST", "/batch", batch).0, 200);
     let id = waves + 2;
-    let (status, _) = request(&addr, "DELETE", &format!("/job/{id}"), None);
-    assert_eq!(status, 200);
+    assert_eq!(call(&addr, "DELETE", &format!("/job/{id}"), "").0, 200);
     // Give the worker time to finish the batch (the result lands in the
     // engine cache, not the table).
     std::thread::sleep(Duration::from_millis(300));
     assert_eq!(
-        request(&addr, "GET", &format!("/job/{id}"), None).0,
+        call(&addr, "GET", &format!("/job/{id}"), "").0,
         404,
         "deleted pending job must not reappear"
     );

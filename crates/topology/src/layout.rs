@@ -181,10 +181,10 @@ impl Layout {
 
     /// Lifts a layout expressed in a region's *local* physical index space
     /// onto the region's device: logical `q` at local physical `p` moves to
-    /// global physical [`Region::to_global`]`(p)`, and the physical space
-    /// widens to the full device. Free device qubits outside the region
-    /// stay free — this is how a compile against an induced subgraph
-    /// ([`CouplingGraph::induced`]) re-enters global coordinates.
+    /// global physical [`to_global(p)`](crate::Region::to_global), and the
+    /// physical space widens to the full device. Free device qubits outside
+    /// the region stay free — this is how a compile against an induced
+    /// subgraph ([`CouplingGraph::induced`]) re-enters global coordinates.
     ///
     /// # Panics
     /// Panics if the layout's physical width is not the region's size.

@@ -52,6 +52,20 @@ const SERVE_FLAGS: [&str; 10] = [
     "--wait-timeout-ms",
 ];
 
+/// The flags of `tetris bench-suite` that take a value.
+const BENCH_SUITE_FLAGS: [&str; 6] = [
+    "--threads",
+    "--passes",
+    "--backend",
+    "--cache-dir",
+    "--cache-max-bytes",
+    "--out",
+];
+
+/// The flags of `tetris bench-suite` that stand alone. The optional count
+/// after `--connections` is not a `--flag`, so it needs no skipping.
+const BENCH_SUITE_BARE: [&str; 4] = ["--quick", "--resident", "--profile", "--connections"];
+
 struct Args(Vec<String>);
 
 impl Args {
@@ -67,14 +81,14 @@ impl Args {
             .map(|s| s.as_str())
     }
 
-    /// The first `--flag` after the subcommand that is not in `known`
-    /// (whose flags each take a value, skipped over).
-    fn unknown_flag(&self, known: &[&str]) -> Option<&str> {
+    /// The first `--flag` after the subcommand that is in neither
+    /// `valued` (flags whose value is skipped over) nor `bare`.
+    fn unknown_flag(&self, valued: &[&str], bare: &[&str]) -> Option<&str> {
         let mut rest = self.0.iter().skip(1);
         while let Some(arg) = rest.next() {
-            if known.contains(&arg.as_str()) {
+            if valued.contains(&arg.as_str()) {
                 rest.next();
-            } else if arg.starts_with("--") {
+            } else if arg.starts_with("--") && !bare.contains(&arg.as_str()) {
                 return Some(arg);
             }
         }
@@ -236,7 +250,9 @@ fn cmd_compare(args: &Args) -> Option<ExitCode> {
 /// direct compiles and its wall reported over one direct anchor compile.
 /// After writing the report, every pass and section is checked by its
 /// gate (the `check` methods); any failed condition, a job error
-/// included, is printed and the command exits 1.
+/// included, is printed and the command exits 1. Any other `--flag` is
+/// refused with the usage text before any pass runs, so a typo never drops
+/// a section and its gate.
 fn cmd_bench_suite(args: &Args) -> Option<ExitCode> {
     use std::sync::Arc;
     use std::time::Instant;
@@ -247,6 +263,10 @@ fn cmd_bench_suite(args: &Args) -> Option<ExitCode> {
     };
     use tetris::engine::{Engine, EngineConfig};
 
+    if let Some(flag) = args.unknown_flag(&BENCH_SUITE_FLAGS, &BENCH_SUITE_BARE) {
+        eprintln!("tetris bench-suite: unknown flag `{flag}`");
+        return None;
+    }
     let quick = args.flag("--quick");
     let graph = Arc::new(backend(args)?);
     let threads: usize = args
@@ -355,7 +375,7 @@ fn cmd_serve(args: &Args) -> Option<ExitCode> {
     use tetris::engine::EngineConfig;
     use tetris::server::{CompileServer, ServerConfig};
 
-    if let Some(flag) = args.unknown_flag(&SERVE_FLAGS) {
+    if let Some(flag) = args.unknown_flag(&SERVE_FLAGS, &[]) {
         eprintln!("tetris serve: unknown flag `{flag}`");
         return None;
     }
@@ -433,14 +453,14 @@ mod tests {
     #[test]
     fn serve_refuses_flags_outside_its_usage() {
         let typo = args("serve --addr 127.0.0.1:99999 --max-inflght 1");
-        assert_eq!(typo.unknown_flag(&SERVE_FLAGS), Some("--max-inflght"));
+        assert_eq!(typo.unknown_flag(&SERVE_FLAGS, &[]), Some("--max-inflght"));
         // Refused before binding: `None` makes `main` print the usage and
         // exit non-zero (the out-of-range port would otherwise fail the
         // bind with `Some(FAILURE)`, never serve).
         assert!(cmd_serve(&typo).is_none());
         let removed = args("serve --addr 127.0.0.1:99999 --blocking-front-end");
         assert_eq!(
-            removed.unknown_flag(&SERVE_FLAGS),
+            removed.unknown_flag(&SERVE_FLAGS, &[]),
             Some("--blocking-front-end")
         );
         assert!(cmd_serve(&removed).is_none());
@@ -452,8 +472,31 @@ mod tests {
             .collect::<Vec<_>>()
             .join(" ");
         assert_eq!(
-            args(&format!("serve {all}")).unknown_flag(&SERVE_FLAGS),
+            args(&format!("serve {all}")).unknown_flag(&SERVE_FLAGS, &[]),
             None
         );
+    }
+
+    #[test]
+    fn bench_suite_refuses_flags_outside_its_usage() {
+        let typo = args("bench-suite --quick --passes 1 --resdent");
+        assert_eq!(
+            typo.unknown_flag(&BENCH_SUITE_FLAGS, &BENCH_SUITE_BARE),
+            Some("--resdent")
+        );
+        // Refused before any pass runs: `None` prints the usage, exits 1.
+        assert!(cmd_bench_suite(&typo).is_none());
+        // `--connections` takes its count or none.
+        for line in [
+            "bench-suite --connections --out F",
+            "bench-suite --quick --threads 2 --passes 1 --backend sycamore --cache-dir D \
+             --cache-max-bytes 9 --resident --profile --connections 400 --out F",
+        ] {
+            let known = args(line);
+            assert_eq!(
+                known.unknown_flag(&BENCH_SUITE_FLAGS, &BENCH_SUITE_BARE),
+                None
+            );
+        }
     }
 }

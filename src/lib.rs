@@ -49,7 +49,7 @@
 //! * [`server`] — the std-only HTTP/1.1 front-end (`tetris serve`): named
 //!   batch submission, result polling, cache/pool counters as JSON, a
 //!   Prometheus `/metrics` endpoint and per-job `?trace=1` timelines.
-//! * [`bench`] — the experiment harness: workload suites, table emitters
+//! * [`mod@bench`] — the experiment harness: workload suites, table emitters
 //!   and the per-figure binaries.
 
 pub use tetris_baselines as baselines;

@@ -11,7 +11,7 @@
 use tetris::baselines::generic::OptLevel;
 use tetris::bench::workloads::{qaoa_set, synthetic_set};
 use tetris::core::TetrisConfig;
-use tetris::engine::{Backend, CompileBackend};
+use tetris::engine::Backend;
 use tetris::pauli::encoder::Encoding;
 use tetris::pauli::molecules::Molecule;
 use tetris::pauli::Hamiltonian;

@@ -4,10 +4,9 @@
 //! `--max-inflight`), the trace log holds one record per job, and a second
 //! process on the same cache directory answers the batch from disk.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::process::{Child, ChildStdout, Command, Stdio};
-use std::time::{Duration, Instant};
+use tetris::server::client;
 use tetris::server::json::{self, Value};
 
 /// A `tetris serve` child on an ephemeral port, killed and reaped on drop.
@@ -40,46 +39,33 @@ impl Served {
         served
     }
 
-    /// One request on its own connection: `(status, head, body)`.
-    fn request(&self, method: &str, path: &str, body: &str) -> (u16, String, String) {
-        let mut stream = TcpStream::connect(&self.addr).expect("connect");
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(request.as_bytes()).expect("send");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("receive");
-        let (head, body) = response.split_once("\r\n\r\n").expect("header end");
-        let status = head.split(' ').nth(1).and_then(|s| s.parse().ok());
-        (
-            status.expect("status code"),
-            head.to_string(),
-            body.to_string(),
-        )
+    /// One request on its own connection.
+    fn request(&self, method: &str, path: &str, body: &str) -> client::Response {
+        client::request(&self.addr, method, path, body).expect("request")
     }
 
     /// A `200` JSON response, parsed.
     fn json(&self, method: &str, path: &str, body: &str) -> Value {
-        let (status, _, body) = self.request(method, path, body);
-        assert_eq!(status, 200, "{method} {path}: {body}");
-        json::parse(&body).unwrap_or_else(|e| panic!("{method} {path}: {e} in {body}"))
+        let response = self.request(method, path, body);
+        assert_eq!(
+            response.head.status, 200,
+            "{method} {path}: {}",
+            response.body
+        );
+        client::json(&response.body).unwrap_or_else(|e| panic!("{method} {path}: {e}"))
     }
 
     /// Submits `batch` and long-polls every job to its done record.
     fn run_batch(&self, batch: &str) -> Vec<Value> {
         let ack = self.json("POST", "/batch", batch);
         let ids = ack.get("job_ids").and_then(Value::as_arr).expect("job ids");
-        let deadline = Instant::now() + Duration::from_secs(120);
+        let mut socket = client::connect(&self.addr).expect("connect");
         ids.iter()
-            .map(|id| loop {
-                let id = id.as_num().expect("numeric id");
-                let job = self.json("GET", &format!("/job/{id}?wait=1"), "");
-                if job.get("status").and_then(Value::as_str) == Some("done") {
-                    assert!(job.get("error").is_none(), "{job:?}");
-                    break job;
-                }
-                assert!(Instant::now() < deadline, "job {id} did not finish");
+            .map(|id| {
+                let id = id.as_num().expect("numeric id") as u64;
+                let job = client::await_job(&mut socket, id).expect("done record");
+                assert!(job.get("error").is_none(), "{job:?}");
+                job
             })
             .collect()
     }
@@ -90,11 +76,6 @@ impl Drop for Served {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
-}
-
-fn num(v: &Value, path: &[&str]) -> f64 {
-    let field = path.iter().try_fold(v, |v, key| v.get(key));
-    field.and_then(Value::as_num).expect("numeric field")
 }
 
 const BATCH: &str = r#"{ "jobs": [
@@ -142,21 +123,27 @@ fn serve_flags_trace_log_and_a_shared_disk_cache() {
         assert_eq!(w.get("stats_digest"), c.get("stats_digest"));
     }
     let stats = second.json("GET", "/stats", "");
-    assert_eq!(num(&stats, &["cache", "disk_hits"]), warm.len() as f64);
-    assert_eq!(num(&stats, &["cache", "disk_hit_ratio"]), 1.0);
+    let number = |path| stats.at(path).and_then(Value::as_num);
+    assert_eq!(number("cache.disk_hits"), Some(warm.len() as f64));
+    assert_eq!(number("cache.disk_hit_ratio"), Some(1.0));
     drop(second);
 
     // Admission cap from the command line: a two-job batch over
     // `--max-inflight 1` is shed before any workload or device is built.
     let capped = Served::start(&["--max-inflight", "1"]);
-    let (status, head, body) = capped.request("POST", "/batch", BATCH);
-    assert_eq!(status, 503, "{body}");
-    assert!(head.contains("\r\nRetry-After: 1\r\n"), "{head}");
+    let shed = capped.request("POST", "/batch", BATCH);
+    assert_eq!(shed.head.status, 503, "{}", shed.body);
     assert_eq!(
-        num(&capped.json("GET", "/stats", ""), &["registry", "builds"]),
-        0.0
+        shed.head.header("Retry-After"),
+        Some("1"),
+        "{}",
+        shed.head.text
     );
-    let (_, _, metrics) = capped.request("GET", "/metrics", "");
+    assert_eq!(
+        capped.json("GET", "/stats", "").at("registry.builds"),
+        Some(&Value::Num(0.0))
+    );
+    let metrics = capped.request("GET", "/metrics", "").body;
     assert!(
         metrics.contains("tetris_http_shed_total{reason=\"inflight\"} 1"),
         "{metrics}"
