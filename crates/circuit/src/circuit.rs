@@ -46,6 +46,13 @@ impl Circuit {
         &self.gates
     }
 
+    /// The gate list itself, for passes that rewrite it in place. A pass
+    /// may only drop, reorder or re-angle gates already on the register.
+    #[inline]
+    pub(crate) fn gates_mut(&mut self) -> &mut Vec<Gate> {
+        &mut self.gates
+    }
+
     /// Appends a gate.
     ///
     /// # Panics

@@ -53,10 +53,7 @@ impl CancelReport {
 /// Runs adjacent-pair cancellation to fix point, rewriting `circuit` in
 /// place and returning what was removed.
 pub fn cancel_gates(circuit: &mut Circuit) -> CancelReport {
-    let mut dag = CircuitDag::from_circuit(circuit);
-    let report = cancel_in_dag(&mut dag);
-    *circuit = dag.to_circuit(circuit.n_qubits());
-    report
+    in_place(circuit, cancel_in_dag)
 }
 
 /// Commutation-aware cancellation (the Qiskit `CommutativeCancellation`
@@ -71,17 +68,30 @@ pub fn cancel_gates(circuit: &mut Circuit) -> CancelReport {
 /// per-qubit role rules of [`Gate::commutes_with`], so the circuit unitary
 /// is preserved exactly.
 pub fn cancel_gates_commutative(circuit: &mut Circuit) -> CancelReport {
-    let mut dag = CircuitDag::from_circuit(circuit);
-    let mut report = cancel_in_dag(&mut dag);
-    loop {
-        let pass = commutative_sweep(&mut dag);
-        if pass.removed_total() == 0 {
-            break;
+    in_place(circuit, |dag| {
+        let mut report = cancel_in_dag(dag);
+        loop {
+            let pass = commutative_sweep(dag);
+            if pass.removed_total() == 0 {
+                break;
+            }
+            report.absorb(pass);
+            report.absorb(cancel_in_dag(dag));
         }
-        report.absorb(pass);
-        report.absorb(cancel_in_dag(&mut dag));
-    }
-    *circuit = dag.to_circuit(circuit.n_qubits());
+        report
+    })
+}
+
+/// Runs `pass` on a DAG over the circuit's own gate list, then puts the
+/// surviving gates back into the same list, compacted in place.
+fn in_place(
+    circuit: &mut Circuit,
+    pass: impl FnOnce(&mut CircuitDag) -> CancelReport,
+) -> CancelReport {
+    let gates = std::mem::take(circuit.gates_mut());
+    let mut dag = CircuitDag::from_gates(gates, circuit.n_qubits());
+    let report = pass(&mut dag);
+    *circuit.gates_mut() = dag.into_gates();
     report
 }
 
@@ -187,12 +197,30 @@ fn reaches_commuting(dag: &CircuitDag, i: usize, q: usize, g: &Gate, target: usi
 
 /// Cancellation on an existing DAG (exposed for pipelines that already built
 /// one).
+///
+/// Every gate is visited once in program order, then every gate whose
+/// adjacency a removal changed is revisited, first in first out. A requeue
+/// only ever lands behind the gates not yet visited, so a cursor over
+/// `0..n` followed by the requeue FIFO is the pop order of one queue seeded
+/// with all `n` indices.
 pub fn cancel_in_dag(dag: &mut CircuitDag) -> CancelReport {
     let mut report = CancelReport::default();
-    let mut queue: VecDeque<usize> = (0..dag.capacity()).collect();
-    let mut queued = vec![true; dag.capacity()];
+    let n = dag.capacity();
+    let mut cursor = 0;
+    let mut requeued: VecDeque<usize> = VecDeque::new();
+    // Gates waiting for a visit: every unread gate, and the requeued ones.
+    let mut queued = vec![true; n];
 
-    while let Some(i) = queue.pop_front() {
+    loop {
+        let i = if cursor < n {
+            cursor += 1;
+            cursor - 1
+        } else {
+            match requeued.pop_front() {
+                Some(i) => i,
+                None => break,
+            }
+        };
         queued[i] = false;
         if !dag.is_alive(i) {
             continue;
@@ -220,10 +248,11 @@ pub fn cancel_in_dag(dag: &mut CircuitDag) -> CancelReport {
             }
         };
         let h = dag.gate(succ);
+        // The neighbors whose adjacency a removal changes, taken before
+        // anything is spliced.
+        let touched = [dag.neighbors(i), dag.neighbors(succ)];
 
         if g.cancels_with(&h) {
-            // Requeue the neighbors whose adjacency changes.
-            let mut touched: Vec<usize> = dag.neighbors(i).chain(dag.neighbors(succ)).collect();
             dag.remove(i);
             dag.remove(succ);
             match g {
@@ -231,13 +260,7 @@ pub fn cancel_in_dag(dag: &mut CircuitDag) -> CancelReport {
                 Gate::Swap(..) => report.removed_swaps += 2,
                 _ => report.removed_1q += 2,
             }
-            touched.retain(|&j| j != i && j != succ && dag.is_alive(j));
-            for j in touched {
-                if !queued[j] {
-                    queued[j] = true;
-                    queue.push_back(j);
-                }
-            }
+            requeue(dag, touched.as_flattened(), &mut queued, &mut requeued);
             continue;
         }
 
@@ -246,7 +269,6 @@ pub fn cancel_in_dag(dag: &mut CircuitDag) -> CancelReport {
         if let (Gate::Rz(q, t1), Gate::Rz(q2, t2)) = (g, h) {
             debug_assert_eq!(q, q2);
             let merged = t1 + t2;
-            let mut touched: Vec<usize> = dag.neighbors(i).chain(dag.neighbors(succ)).collect();
             dag.remove(i);
             report.removed_1q += 1;
             report.merged_rz += 1;
@@ -255,18 +277,28 @@ pub fn cancel_in_dag(dag: &mut CircuitDag) -> CancelReport {
                 report.removed_1q += 1;
             } else {
                 *dag.gate_mut(succ) = Gate::Rz(q, merged);
-                touched.push(succ);
             }
-            touched.retain(|&j| j != i && dag.is_alive(j));
-            for j in touched {
-                if !queued[j] {
-                    queued[j] = true;
-                    queue.push_back(j);
-                }
-            }
+            // A surviving `succ` is already among i's neighbors.
+            requeue(dag, touched.as_flattened(), &mut queued, &mut requeued);
         }
     }
     report
+}
+
+/// Queues every alive gate of `touched` that is not waiting already, in
+/// order.
+fn requeue(
+    dag: &CircuitDag,
+    touched: &[usize],
+    queued: &mut [bool],
+    requeued: &mut VecDeque<usize>,
+) {
+    for &j in touched {
+        if j != NONE && dag.is_alive(j) && !queued[j] {
+            queued[j] = true;
+            requeued.push_back(j);
+        }
+    }
 }
 
 #[cfg(test)]

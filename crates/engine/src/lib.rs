@@ -14,7 +14,10 @@
 //!   channels: a batch of [`CompileJob`]s is fanned out over N workers,
 //!   and the worker that answers each job delivers it
 //!   ([`Engine::submit_batch`]); [`Engine::compile_batch`] returns the
-//!   results in submission order. Compilation is pure, so a parallel
+//!   results in submission order. Each batch is enqueued by
+//!   [`CompileJob::estimated_cost`]: the largest job first, then the rest
+//!   cheapest first (plain ascending on one worker; see [`pool`]), which
+//!   moves completion times only. Compilation is pure, so a parallel
 //!   batch is bit-identical to a serial one.
 //! * **A tiered content-addressed cache** ([`cache::ResultCache`]) keyed
 //!   by a stable 64-bit fingerprint of the job's semantic content

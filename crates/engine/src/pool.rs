@@ -2,10 +2,22 @@
 //!
 //! `Engine::new` spawns N named OS threads (`tetris-worker-<i>`) that live
 //! for the engine's lifetime and pull work from a single `mpsc` queue
-//! (shared behind a mutex — the classic std-only job-queue shape). Each
-//! worker consults the shared [`ResultCache`] before touching a compiler,
-//! then hands the result to its batch's sink itself, followed by any
-//! in-batch duplicates of that job, so submitting a batch spawns no
+//! (shared behind a mutex — the classic std-only job-queue shape).
+//!
+//! Every batch — a plain one from [`Engine::submit_batch`] or a region
+//! wave — reaches the queue through one `dispatch`, in cost order: the job
+//! with the largest [`CompileJob::estimated_cost`] first, so one worker
+//! starts the job that would otherwise set the batch's tail, then the rest
+//! in ascending estimate, so the other workers return the cheap results
+//! early; ties go by submission index. (A one-worker pool runs the whole
+//! batch in ascending order: nothing could run beside the largest job.)
+//! The order moves completion times only: [`JobResult::index`] (and the
+//! server's job ids) still follow submission order, and so does
+//! `compile_batch`'s return.
+//!
+//! Each worker consults the shared [`ResultCache`] before touching a
+//! compiler, then hands the result to its batch's sink itself, followed by
+//! any in-batch duplicates of that job, so submitting a batch spawns no
 //! thread; a job the [`RegionScheduler`](crate::RegionScheduler) placed
 //! carries its region. `compile_batch` is a sink that reassembles the
 //! answers in submission order.
@@ -97,17 +109,59 @@ impl WorkItem {
     }
 }
 
-/// Enqueues `items` unless the engine was dropped (then they are
-/// dropped too): the region scheduler runs a batch's later rounds on the
-/// worker that finished the previous one, through a handle that must not
-/// keep the workers alive.
-pub(crate) fn dispatch(queue: &Weak<Sender<WorkItem>>, items: Vec<WorkItem>) {
-    if let Some(queue) = queue.upgrade() {
-        for item in items {
-            // Workers outlive every queue handle.
-            let _ = queue.send(item);
+/// A handle on the engine's queue that does not keep the workers alive:
+/// the region scheduler runs a batch's later rounds on the worker that
+/// finished the previous one, through a clone of it.
+#[derive(Debug, Clone)]
+pub(crate) struct Dispatcher {
+    queue: Weak<Sender<WorkItem>>,
+    workers: usize,
+}
+
+impl Dispatcher {
+    /// Enqueues a batch's `items` in [`cost_order`] unless the engine was
+    /// dropped (then they are dropped too) — the engine's one enqueue
+    /// path, for plain batches and region waves alike.
+    pub(crate) fn dispatch(&self, items: Vec<WorkItem>) {
+        if let Some(queue) = self.queue.upgrade() {
+            for item in cost_order(items, self.workers) {
+                // Workers outlive every queue handle.
+                let _ = queue.send(item);
+            }
         }
     }
+}
+
+/// The dispatch order of a batch on `workers` workers: the job with the
+/// largest [`CompileJob::estimated_cost`] first, so one worker starts the
+/// job that would otherwise set the batch's tail, then the rest cheapest
+/// first, so the other workers return the cheap results early. Ties go by
+/// submission index. A single worker has no other worker to run the rest
+/// beside the largest job, and its batch takes the same time in any
+/// order, so there the largest job keeps its ascending place. A one-item
+/// batch is returned as it is, unestimated.
+fn cost_order(items: Vec<WorkItem>, workers: usize) -> Vec<WorkItem> {
+    if items.len() < 2 {
+        return items;
+    }
+    let mut keyed: Vec<(u64, WorkItem)> = items
+        .into_iter()
+        .map(|item| {
+            let device = item.region.as_ref().map(Region::len);
+            let cost = item
+                .job
+                .estimated_cost_on(device.unwrap_or_else(|| item.job.graph.n_qubits()));
+            (cost, item)
+        })
+        .collect();
+    keyed.sort_by_key(|(cost, item)| (*cost, item.index));
+    if workers > 1 {
+        // Rotate the first of the largest-cost items to the front.
+        let largest = keyed.last().map_or(0, |(cost, _)| *cost);
+        let first_largest = keyed.partition_point(|(cost, _)| *cost < largest);
+        keyed[..=first_largest].rotate_right(1);
+    }
+    keyed.into_iter().map(|(_, item)| item).collect()
 }
 
 /// Pre-resolved handles into the global metrics registry, looked up once
@@ -188,7 +242,11 @@ fn run_guarded(job: &CompileJob) -> Result<EngineOutput, String> {
 
 /// Answers one job: [`execute`] plus the [`JobResult`] around it, recorded
 /// into the engine's metrics. Engine wall starts now; a work item's
-/// `submitted_at` adds its queue wait (duplicates have none).
+/// `submitted_at` adds its queue wait (duplicates have none). The timeline
+/// closes here: whatever the engine wall holds beyond the recorded stages
+/// (the memory half of a cache store, bookkeeping between stages) is
+/// [`Stage::Other`], so the busy stages sum to
+/// [`JobResult::engine_seconds`] by construction.
 fn answer(
     index: usize,
     job: CompileJob,
@@ -203,8 +261,15 @@ fn answer(
     // and a placeholder must never satisfy a later lookup of the same
     // content. `execute` upholds this.
     let (output, cached, error, mut stages) = execute(&job, key, region.as_ref(), cache);
-    if let (Some(at), true) = (submitted_at, tetris_obs::enabled()) {
-        stages.add(Stage::QueueWait, t0.duration_since(at).as_secs_f64());
+    let engine_seconds = t0.elapsed().as_secs_f64();
+    if tetris_obs::enabled() {
+        if let Some(at) = submitted_at {
+            stages.add(Stage::QueueWait, t0.duration_since(at).as_secs_f64());
+        }
+        stages.add(
+            Stage::Other,
+            (engine_seconds - stages.busy_total()).max(0.0),
+        );
     }
     let result = JobResult {
         index,
@@ -212,7 +277,7 @@ fn answer(
         name: job.name,
         cache_key: key,
         cached,
-        engine_seconds: t0.elapsed().as_secs_f64(),
+        engine_seconds,
         error,
         region,
         stages,
@@ -383,14 +448,17 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// A handle for [`dispatch`]ing work after this call returns.
-    pub(crate) fn queue_handle(&self) -> Weak<Sender<WorkItem>> {
-        Arc::downgrade(self.queue.as_ref().expect("engine queue alive until drop"))
+    /// A handle for dispatching work after this call returns.
+    pub(crate) fn dispatcher(&self) -> Dispatcher {
+        Dispatcher {
+            queue: Arc::downgrade(self.queue.as_ref().expect("engine queue alive until drop")),
+            workers: self.threads,
+        }
     }
 
     /// Submits a batch and invokes `on_result` once per job *as each
     /// completes* (completion order, not submission order), returning
-    /// immediately. This is the completion-push hook the async HTTP
+    /// immediately. The batch is enqueued in cost order (see [`crate::pool`]). This is the completion-push hook the async HTTP
     /// front-end builds on: the server's adapter registers a sink that
     /// fills the job table and pokes the reactor's wakeup pipe, so
     /// long-polling and streaming clients hear about a job the moment its
@@ -410,7 +478,6 @@ impl Engine {
     where
         F: Fn(JobResult) + Send + Sync + 'static,
     {
-        let queue = self.queue.as_ref().expect("engine queue alive until drop");
         let sink: Sink = Arc::new(on_result);
         // Plan the whole batch before sending anything: a worker may
         // finish a primary at once, and must find all its duplicates.
@@ -426,9 +493,7 @@ impl Engine {
                 }
             }
         }
-        for item in items {
-            queue.send(item).expect("workers alive until drop");
-        }
+        self.dispatcher().dispatch(items);
     }
 
     /// Compiles a batch, returning one [`JobResult`] per job in submission
@@ -536,6 +601,97 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// A Tetris job on `line(8)` whose one block holds `strings` distinct
+    /// 5-qubit strings, so its estimate grows with `strings`.
+    fn sized_job(name: &str, strings: usize) -> CompileJob {
+        let terms = (1..=strings)
+            .map(|k| {
+                let s: String = (0..5)
+                    .map(|d| ['I', 'X', 'Y', 'Z'][(k >> (2 * d)) & 3])
+                    .collect();
+                PauliTerm::new(s.parse().unwrap(), 1.0)
+            })
+            .collect();
+        let ham = Hamiltonian::new(5, vec![PauliBlock::new(terms, 0.2, "b")], name);
+        CompileJob::new(
+            name,
+            Backend::Tetris(TetrisConfig::default()),
+            Arc::new(ham),
+            Arc::new(CouplingGraph::line(8)),
+        )
+    }
+
+    fn engine(threads: usize) -> Engine {
+        Engine::new(EngineConfig {
+            threads,
+            cache_capacity: 64,
+            cache_dir: None,
+            cache_max_bytes: None,
+        })
+    }
+
+    #[test]
+    fn cost_order_starts_the_largest_then_ascends_by_estimate_then_index() {
+        let sink: Sink = Arc::new(|_| {});
+        let strings = [3, 2, 5, 2, 5, 4];
+        let order = |workers| {
+            let items = strings
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| WorkItem::new(i, sized_job(&format!("j{i}"), n), None, sink.clone()))
+                .collect();
+            let ordered = cost_order(items, workers);
+            ordered.iter().map(|item| item.index).collect::<Vec<_>>()
+        };
+        // The first of the two largest, then 2, 2, 3, 4, 5 strings.
+        assert_eq!(order(2), [2, 1, 3, 0, 5, 4]);
+        assert_eq!(order(4), [2, 1, 3, 0, 5, 4]);
+        // One worker: plain ascending order.
+        assert_eq!(order(1), [1, 3, 0, 5, 2, 4]);
+        let costs: Vec<u64> = strings
+            .iter()
+            .map(|&n| sized_job("c", n).estimated_cost())
+            .collect();
+        assert!(costs[1] < costs[0] && costs[0] < costs[5] && costs[5] < costs[2]);
+        let one = vec![WorkItem::new(7, sized_job("solo", 1), None, sink.clone())];
+        assert_eq!(cost_order(one, 2)[0].index, 7);
+    }
+
+    #[test]
+    fn one_worker_answers_cheapest_first_with_duplicates_after_their_primary() {
+        let engine = engine(1);
+        let mut jobs: Vec<CompileJob> = [3, 2, 6, 4, 5]
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| sized_job(&format!("j{i}"), n))
+            .collect();
+        jobs.push(sized_job("again", 2)); // same content as j1
+        let total = jobs.len();
+        let (tx, rx) = std::sync::mpsc::channel();
+        engine.submit_batch(jobs.clone(), move |r| {
+            let _ = tx.send((r.index, r.cached));
+        });
+        let seen: Vec<(usize, bool)> = (0..total).map(|_| rx.recv().expect("result")).collect();
+        // Ascending estimate; `again` rides on j1.
+        let order: Vec<usize> = seen.iter().map(|&(i, _)| i).collect();
+        assert_eq!(order, [1, 5, 0, 3, 4, 2]);
+        let cached: Vec<usize> = seen.iter().filter(|s| s.1).map(|s| s.0).collect();
+        assert_eq!(cached, [5], "the duplicate is coalesced into a hit");
+        // The blocking form still returns submission order.
+        let results = engine.compile_batch(jobs);
+        let names: Vec<&str> = results.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["j0", "j1", "j2", "j3", "j4", "again"]);
+        assert!(results.iter().enumerate().all(|(i, r)| r.index == i));
+    }
+
+    #[test]
+    fn a_one_job_batch_is_answered() {
+        let results = engine(2).compile_batch(vec![sized_job("solo", 3)]);
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].index, 0);
+        assert!(results[0].error.is_none() && !results[0].cached);
     }
 
     #[test]

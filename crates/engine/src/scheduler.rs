@@ -60,11 +60,10 @@
 
 use crate::backend::EngineOutput;
 use crate::job::{CompileJob, JobResult};
-use crate::pool::{collect_in_order, dispatch, Engine, Sink, WorkItem};
+use crate::pool::{collect_in_order, Dispatcher, Engine, Sink, WorkItem};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tetris_obs::trace::Stage;
 use tetris_pauli::fingerprint::Fingerprint64;
@@ -293,7 +292,7 @@ struct PendingJob {
 struct Group {
     pending: Vec<PendingJob>,
     sink: Sink,
-    pool: Weak<Sender<WorkItem>>,
+    pool: Dispatcher,
     totals: Arc<Totals>,
     device: Arc<Mutex<DeviceState>>,
 }
@@ -336,7 +335,7 @@ impl Group {
             .chain(leftover.into_iter().map(|p| (p, None)))
             .map(|(p, region)| WorkItem::new(p.index, p.job, region, Arc::clone(&sink)))
             .collect();
-        dispatch(&pool, items);
+        pool.dispatch(items);
     }
 }
 
@@ -764,7 +763,7 @@ impl RegionScheduler {
             let group = Group {
                 pending,
                 sink: Arc::clone(&sink),
-                pool: engine.queue_handle(),
+                pool: engine.dispatcher(),
                 totals: Arc::clone(&self.totals),
                 device: Arc::clone(&device),
             };

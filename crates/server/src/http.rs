@@ -91,10 +91,11 @@
 //! (pending jobs are never swept — the worker still owes them a result).
 
 use crate::conn::Request;
-use crate::json::{escape, parse, Value};
+use crate::json::{escape, parse, Escaped, Value};
 use crate::notify::Notifier;
 use crate::registry::{Interner, MemoStats};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -418,13 +419,17 @@ pub(crate) fn render_response(code: u16, payload: &Payload, keep_alive: bool) ->
         ""
     };
     let body = payload.body();
-    format!(
-        "HTTP/1.1 {code} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{retry_after}Connection: {connection}\r\n\r\n{body}",
+    // Sized up front: a served QASM body runs to megabytes.
+    let mut out = String::with_capacity(body.len() + 160);
+    let _ = write!(
+        out,
+        "HTTP/1.1 {code} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{retry_after}Connection: {connection}\r\n\r\n",
         status_text(code),
         payload.content_type(),
         body.len(),
-    )
-    .into_bytes()
+    );
+    out.push_str(body);
+    out.into_bytes()
 }
 
 /// The response head of a streaming `POST /batch`: chunked
@@ -854,43 +859,47 @@ fn delete_job(state: &AppState, id: &str) -> (u16, String) {
 
 fn job_body(id: u64, r: &JobResult, with_qasm: bool, with_trace: bool) -> String {
     let s = &r.output.stats;
-    let error = match &r.error {
-        Some(msg) => format!(" \"error\": \"{}\",", escape(msg)),
-        None => String::new(),
-    };
-    let qasm = if with_qasm && r.error.is_none() {
-        format!(
-            " \"qasm\": \"{}\",",
-            escape(&tetris_circuit::qasm::to_qasm(&r.output.circuit))
-        )
+    let with_qasm = with_qasm && r.error.is_none();
+    // One allocation for the whole body: a QASM line averages ~15 bytes,
+    // and escaping adds 5 (`\u000a`).
+    let qasm_bytes = if with_qasm {
+        24 * r.output.circuit.len()
     } else {
-        String::new()
+        0
     };
-    // Region jobs report the physical device qubits they were packed onto
-    // (global indices, ascending).
-    let region = match &r.region {
-        Some(region) => format!(
-            " \"region\": {:?},",
-            region.iter_globals().collect::<Vec<_>>()
-        ),
-        None => String::new(),
-    };
-    // `?trace=1`: this request's per-stage timeline, with busy/total
-    // aggregates (busy excludes queue wait, so it tracks engine_seconds).
-    let trace = if with_trace {
-        format!(" \"trace\": {},", trace_json(&r.stages))
-    } else {
-        String::new()
-    };
-    format!(
+    let mut body = String::with_capacity(512 + qasm_bytes);
+    let _ = write!(
+        body,
         "{{ \"id\": {id}, \"status\": \"done\", \"name\": \"{}\", \"compiler\": \"{}\", \
-         \"cache_key\": \"{:016x}\", \"cached\": {},{error}{qasm}{region}{trace} \"engine_seconds\": {:.6}, \
-         \"stats_digest\": \"{:016x}\", \"gates\": {}, \"cnots\": {}, \"swaps\": {}, \
-         \"depth\": {}, \"duration\": {}, \"cancel_ratio\": {:.4} }}\n",
+         \"cache_key\": \"{:016x}\", \"cached\": {},",
         escape(&r.name),
         escape(&r.compiler),
         r.cache_key,
         r.cached,
+    );
+    if let Some(msg) = &r.error {
+        let _ = write!(body, " \"error\": \"{}\",", escape(msg));
+    }
+    if with_qasm {
+        body.push_str(" \"qasm\": \"");
+        tetris_circuit::qasm::write_qasm(&mut Escaped(&mut body), &r.output.circuit);
+        body.push_str("\",");
+    }
+    // Region jobs report the physical device qubits they were packed onto
+    // (global indices, ascending).
+    if let Some(region) = &r.region {
+        let qubits: Vec<usize> = region.iter_globals().collect();
+        let _ = write!(body, " \"region\": {qubits:?},");
+    }
+    // `?trace=1`: this request's per-stage timeline, with busy/total
+    // aggregates (busy excludes queue wait, so it tracks engine_seconds).
+    if with_trace {
+        let _ = write!(body, " \"trace\": {},", trace_json(&r.stages));
+    }
+    let _ = writeln!(
+        body,
+        " \"engine_seconds\": {:.6}, \"stats_digest\": \"{:016x}\", \"gates\": {}, \
+         \"cnots\": {}, \"swaps\": {}, \"depth\": {}, \"duration\": {}, \"cancel_ratio\": {:.4} }}",
         r.engine_seconds,
         r.output.stats_digest(),
         r.output.circuit.len(),
@@ -899,7 +908,8 @@ fn job_body(id: u64, r: &JobResult, with_qasm: bool, with_trace: bool) -> String
         s.metrics.depth,
         s.metrics.duration,
         s.cancel_ratio(),
-    )
+    );
+    body
 }
 
 /// `GET /healthz`: liveness from two atomics — no engine, cache or

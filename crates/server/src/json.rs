@@ -276,6 +276,22 @@ impl<'a> Parser<'a> {
 /// Escapes a string for embedding in a JSON document (adds no quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// A [`std::fmt::Write`] that appends everything written through it to a
+/// `String`, [`escape`]d — text rendered straight into a JSON string.
+pub(crate) struct Escaped<'a>(pub(crate) &'a mut String);
+
+impl std::fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        escape_into(self.0, s);
+        Ok(())
+    }
+}
+
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -286,7 +302,6 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]

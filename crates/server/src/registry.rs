@@ -427,6 +427,35 @@ mod tests {
     use super::*;
     use tetris_engine::CompileJob;
 
+    /// The dispatch estimate ranks the cold suite's heavy jobs by their
+    /// measured serial cost, and a wide QAOA instance above a small UCC one
+    /// (63 ms against 9 ms on `grid-12x12`), which a naive-CNOT count
+    /// ranks the other way round.
+    #[test]
+    fn cost_estimates_rank_jobs_by_measured_cost() {
+        let cost = |w: &str, b: &str, d: &str| {
+            let job = CompileJob::new(
+                w,
+                backend(b).expect(b),
+                Arc::new(workload(w).expect(w)),
+                Arc::new(device(d).expect(d)),
+            );
+            job.estimated_cost()
+        };
+        let ranked = [
+            cost("CO2-JW", "tetris", "heavy-hex"),
+            cost("LiCl-JW", "tetris", "heavy-hex"),
+            cost("UCC-35", "paulihedral", "heavy-hex"),
+            cost("UCC-10", "tket", "heavy-hex"),
+        ];
+        assert!(ranked.windows(2).all(|w| w[0] > w[1]), "{ranked:?}");
+        assert!(
+            cost("REG3-60-s1", "tetris", "grid-12x12") > cost("UCC-10", "tetris", "grid-12x12")
+        );
+        let naive = |w: &str| workload(w).expect(w).naive_cnot_count();
+        assert!(naive("REG3-60-s1") < naive("UCC-10"));
+    }
+
     #[test]
     fn molecule_names_resolve() {
         let h = workload("LiH-JW").expect("LiH-JW");

@@ -8,6 +8,7 @@
 //! ```
 
 use std::process::ExitCode;
+use std::str::FromStr;
 use tetris::baselines::{max_cancel, paulihedral, pcoast_like, qaoa_2qan};
 use tetris::circuit::qasm::to_qasm;
 use tetris::core::{CompileStats, TetrisCompiler, TetrisConfig};
@@ -81,6 +82,20 @@ impl Args {
             .map(|s| s.as_str())
     }
 
+    /// The value after `name` parsed as a `T`: `Ok(None)` when the flag is
+    /// absent, an error naming the flag when its value is missing or does
+    /// not parse. A malformed value is refused, never replaced by a
+    /// default.
+    fn parsed<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        if !self.flag(name) {
+            return Ok(None);
+        }
+        let v = self.value(name).ok_or(format!("`{name}` takes a value"))?;
+        v.parse()
+            .map(Some)
+            .map_err(|_| format!("invalid value `{v}` for `{name}`"))
+    }
+
     /// The first `--flag` after the subcommand that is in neither
     /// `valued` (flags whose value is skipped over) nor `bare`.
     fn unknown_flag(&self, valued: &[&str], bare: &[&str]) -> Option<&str> {
@@ -94,6 +109,12 @@ impl Args {
         }
         None
     }
+}
+
+/// A command's reading of [`Args::parsed`]: an error is printed and
+/// becomes `None`, so `main` prints the usage and exits 1.
+fn reported<T>(parsed: Result<T, String>) -> Option<T> {
+    parsed.map_err(|e| eprintln!("tetris: {e}")).ok()
 }
 
 fn molecule(args: &Args) -> Option<Molecule> {
@@ -133,18 +154,18 @@ fn backend(args: &Args) -> Option<CouplingGraph> {
     }
 }
 
-fn config(args: &Args) -> TetrisConfig {
+fn config(args: &Args) -> Option<TetrisConfig> {
     let mut cfg = TetrisConfig::default();
-    if let Some(w) = args.value("--swap-weight").and_then(|v| v.parse().ok()) {
+    if let Some(w) = reported(args.parsed("--swap-weight"))? {
         cfg = cfg.with_swap_weight(w);
     }
-    if let Some(k) = args.value("--lookahead").and_then(|v| v.parse().ok()) {
+    if let Some(k) = reported(args.parsed("--lookahead"))? {
         cfg = cfg.with_lookahead(k);
     }
     if args.flag("--no-bridging") {
         cfg = cfg.with_bridging(false);
     }
-    cfg
+    Some(cfg)
 }
 
 fn print_stats(label: &str, stats: &CompileStats) {
@@ -170,9 +191,10 @@ fn cmd_compile(args: &Args) -> Option<ExitCode> {
     let m = molecule(args)?;
     let enc = encoding(args)?;
     let graph = backend(args)?;
+    let config = config(args)?;
     eprintln!("building {m} ({enc})…");
     let h = m.uccsd_hamiltonian(enc);
-    let result = TetrisCompiler::new(config(args)).compile(&h, &graph);
+    let result = TetrisCompiler::new(config).compile(&h, &graph);
     assert!(result.circuit.is_hardware_compliant(&graph));
     print_stats("tetris", &result.stats);
     write_qasm(args, &result.circuit);
@@ -180,26 +202,18 @@ fn cmd_compile(args: &Args) -> Option<ExitCode> {
 }
 
 fn cmd_qaoa(args: &Args) -> Option<ExitCode> {
-    let n: usize = args
-        .value("--nodes")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let seed: u64 = args
-        .value("--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(7);
-    let g = if let Some(m) = args.value("--edges").and_then(|v| v.parse().ok()) {
-        Graph::random_gnm(n, m, seed)
-    } else {
-        let d: usize = args
-            .value("--degree")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3);
-        Graph::random_regular(n, d, seed)
+    let n: usize = reported(args.parsed("--nodes"))?.unwrap_or(16);
+    let seed: u64 = reported(args.parsed("--seed"))?.unwrap_or(7);
+    let edges: Option<usize> = reported(args.parsed("--edges"))?;
+    let degree: usize = reported(args.parsed("--degree"))?.unwrap_or(3);
+    let graph = backend(args)?;
+    let config = config(args)?;
+    let g = match edges {
+        Some(m) => Graph::random_gnm(n, m, seed),
+        None => Graph::random_regular(n, degree, seed),
     };
     let h = maxcut_hamiltonian(&g, "qaoa");
-    let graph = backend(args)?;
-    let result = TetrisCompiler::new(config(args)).compile(&h, &graph);
+    let result = TetrisCompiler::new(config).compile(&h, &graph);
     print_stats("tetris", &result.stats);
     let two_qan = qaoa_2qan::compile(&h, &graph, seed);
     print_stats("2qan-lite", &two_qan.stats);
@@ -252,7 +266,7 @@ fn cmd_compare(args: &Args) -> Option<ExitCode> {
 /// gate (the `check` methods); any failed condition, a job error
 /// included, is printed and the command exits 1. Any other `--flag` is
 /// refused with the usage text before any pass runs, so a typo never drops
-/// a section and its gate.
+/// a section and its gate, and so is a malformed flag value.
 fn cmd_bench_suite(args: &Args) -> Option<ExitCode> {
     use std::sync::Arc;
     use std::time::Instant;
@@ -269,25 +283,21 @@ fn cmd_bench_suite(args: &Args) -> Option<ExitCode> {
     }
     let quick = args.flag("--quick");
     let graph = Arc::new(backend(args)?);
-    let threads: usize = args
-        .value("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    let passes: usize = args
-        .value("--passes")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-        .max(1);
+    let threads: usize = reported(args.parsed("--threads"))?.unwrap_or_else(default_threads);
+    let passes: usize = reported(args.parsed("--passes"))?.unwrap_or(2).max(1);
+    let cache_max_bytes = reported(args.parsed("--cache-max-bytes"))?;
+    // `--connections` takes an optional count: the next argument, unless
+    // it is the next flag.
+    let connections: usize = match args.value("--connections") {
+        Some(n) if !n.starts_with("--") => reported(args.parsed("--connections"))?.unwrap_or(400),
+        _ => 400,
+    };
 
     let engine = Engine::new(EngineConfig {
         threads,
         cache_capacity: 1024,
         cache_dir: args.value("--cache-dir").map(std::path::PathBuf::from),
-        cache_max_bytes: args.value("--cache-max-bytes").and_then(|v| v.parse().ok()),
+        cache_max_bytes,
     });
     let mut report_passes = Vec::with_capacity(passes);
     for pass in 1..=passes {
@@ -320,14 +330,9 @@ fn cmd_bench_suite(args: &Args) -> Option<ExitCode> {
     let profile = args
         .flag("--profile")
         .then(|| run_suite_profile(quick, threads, &graph));
-    let connections = args.flag("--connections").then(|| {
-        let n = args
-            .value("--connections")
-            .filter(|v| !v.starts_with("--"))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(400);
-        run_conn_stress(n, threads)
-    });
+    let connections = args
+        .flag("--connections")
+        .then(|| run_conn_stress(connections, threads));
     let report = json_report(
         engine.threads(),
         &report_passes,
@@ -369,8 +374,8 @@ fn cmd_bench_suite(args: &Args) -> Option<ExitCode> {
 /// `--max-connections` caps live sockets and `--max-inflight` caps queued
 /// jobs (both shed with `503 + Retry-After` past the cap);
 /// `--wait-timeout-ms` bounds long-poll parks (`GET /job/<id>?wait=1`).
-/// Any other `--flag` is refused with the usage text, so a typo never
-/// starts a server with a default in its place.
+/// Any other `--flag`, and any malformed value, is refused with the usage
+/// text, so a typo never starts a server with a default in its place.
 fn cmd_serve(args: &Args) -> Option<ExitCode> {
     use tetris::engine::EngineConfig;
     use tetris::server::{CompileServer, ServerConfig};
@@ -381,36 +386,24 @@ fn cmd_serve(args: &Args) -> Option<ExitCode> {
     }
 
     let addr = args.value("--addr").unwrap_or("127.0.0.1:7421");
-    let threads: usize = args
-        .value("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    let cache_capacity: usize = args
-        .value("--cache-capacity")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1024);
     let config = EngineConfig {
-        threads,
-        cache_capacity,
+        threads: reported(args.parsed("--threads"))?.unwrap_or_else(default_threads),
+        cache_capacity: reported(args.parsed("--cache-capacity"))?.unwrap_or(1024),
         cache_dir: args.value("--cache-dir").map(std::path::PathBuf::from),
-        cache_max_bytes: args.value("--cache-max-bytes").and_then(|v| v.parse().ok()),
+        cache_max_bytes: reported(args.parsed("--cache-max-bytes"))?,
     };
     let mut server_config = ServerConfig::default();
-    if let Some(secs) = args.value("--job-ttl-secs").and_then(|v| v.parse().ok()) {
+    if let Some(secs) = reported(args.parsed("--job-ttl-secs"))? {
         server_config.job_ttl = std::time::Duration::from_secs(secs);
     }
     server_config.trace_log = args.value("--trace-log").map(std::path::PathBuf::from);
-    if let Some(n) = args.value("--max-connections").and_then(|v| v.parse().ok()) {
+    if let Some(n) = reported(args.parsed("--max-connections"))? {
         server_config.max_connections = n;
     }
-    if let Some(n) = args.value("--max-inflight").and_then(|v| v.parse().ok()) {
+    if let Some(n) = reported(args.parsed("--max-inflight"))? {
         server_config.max_inflight = n;
     }
-    if let Some(ms) = args.value("--wait-timeout-ms").and_then(|v| v.parse().ok()) {
+    if let Some(ms) = reported(args.parsed("--wait-timeout-ms"))? {
         server_config.wait_timeout = std::time::Duration::from_millis(ms);
     }
     match CompileServer::bind_with(addr, config, server_config) {
@@ -423,6 +416,13 @@ fn cmd_serve(args: &Args) -> Option<ExitCode> {
             Some(ExitCode::FAILURE)
         }
     }
+}
+
+/// One worker per available core.
+fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 fn main() -> ExitCode {
@@ -475,6 +475,48 @@ mod tests {
             args(&format!("serve {all}")).unknown_flag(&SERVE_FLAGS, &[]),
             None
         );
+    }
+
+    #[test]
+    fn malformed_values_are_refused_not_defaulted() {
+        for (line, flag) in [
+            ("bench-suite --quick --passes x", "--passes"),
+            ("serve --addr 127.0.0.1:99999 --threads -1", "--threads"),
+            (
+                "serve --addr 127.0.0.1:99999 --max-inflight x",
+                "--max-inflight",
+            ),
+            (
+                "serve --addr 127.0.0.1:99999 --wait-timeout-ms x",
+                "--wait-timeout-ms",
+            ),
+            (
+                "serve --addr 127.0.0.1:99999 --max-inflight",
+                "--max-inflight",
+            ),
+        ] {
+            let bad = args(line);
+            let err = bad.parsed::<usize>(flag).expect_err(line);
+            assert!(err.contains(flag), "{err}");
+            // Refused before any pass runs or any socket is bound: `None`
+            // makes `main` print the usage and exit 1.
+            let refused = match line.split(' ').next() {
+                Some("serve") => cmd_serve(&bad),
+                _ => cmd_bench_suite(&bad),
+            };
+            assert!(refused.is_none(), "{line}");
+        }
+        let good = args("serve --max-inflight 8 --wait-timeout-ms 250");
+        assert_eq!(good.parsed::<usize>("--max-inflight"), Ok(Some(8)));
+        assert_eq!(good.parsed::<u64>("--wait-timeout-ms"), Ok(Some(250)));
+        assert_eq!(good.parsed::<usize>("--threads"), Ok(None));
+        assert_eq!(
+            args("qaoa --nodes 12").parsed::<usize>("--nodes"),
+            Ok(Some(12))
+        );
+        assert!(cmd_qaoa(&args("qaoa --nodes x")).is_none());
+        assert!(cmd_compile(&args("compile --lookahead x")).is_none());
+        assert!(cmd_bench_suite(&args("bench-suite --quick --connections x")).is_none());
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! cover a two-word register (130), the layouts most likely to expose a
 //! packed-set indexing bug.
 
-use tetris::circuit::{Circuit, Gate};
+use tetris::baselines::max_cancel;
+use tetris::circuit::{cancel_gates, cancel_gates_commutative, Circuit, Gate};
 use tetris::core::{TetrisCompiler, TetrisConfig};
 use tetris::pauli::fingerprint::Fingerprint64;
+use tetris::pauli::molecules::Molecule;
 use tetris::pauli::qaoa::{maxcut_hamiltonian, Graph};
 use tetris::pauli::rng::rngs::StdRng;
 use tetris::pauli::rng::{Rng, SeedableRng};
@@ -252,6 +254,107 @@ fn compiler_outputs_match_pre_refactor_goldens() {
     }
 }
 
+/// Seeded random circuit dense in peephole opportunities: few qubits, every
+/// gate kind the pass knows, and `Rz` angles drawn mostly from multiples of
+/// π/4 so merges also reach full turns and vanish.
+fn random_cancellable(seed: u64) -> Circuit {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = 2 + (seed as usize % 5);
+    let mut c = Circuit::new(n);
+    let pair = |rng: &mut StdRng| {
+        let a = rng.gen_range(0..n);
+        let mut b = rng.gen_range(0..n);
+        while b == a {
+            b = rng.gen_range(0..n);
+        }
+        (a, b)
+    };
+    for _ in 0..240 {
+        let q = rng.gen_range(0..n);
+        match rng.gen_range(0..20) {
+            0..=2 => c.push(Gate::H(q)),
+            3 | 4 => c.push(Gate::S(q)),
+            5 | 6 => c.push(Gate::Sdg(q)),
+            7 | 8 => c.push(Gate::X(q)),
+            9..=11 => {
+                let theta = if rng.gen_range(0..4) == 0 {
+                    rng.gen_range(-1.0..1.0)
+                } else {
+                    rng.gen_range(-4i32..5) as f64 * std::f64::consts::FRAC_PI_4
+                };
+                c.push(Gate::Rz(q, theta));
+            }
+            12 => {
+                let (a, b) = pair(&mut rng);
+                c.push(Gate::Swap(a, b));
+            }
+            13 if rng.gen_range(0..4) == 0 => c.push(Gate::Measure(q)),
+            _ => {
+                let (a, b) = pair(&mut rng);
+                c.push(Gate::Cnot(a, b));
+            }
+        }
+    }
+    c
+}
+
+/// Digests of the adjacent and the commutative peephole pass applied to
+/// each circuit, folded in order, together with every removal count.
+fn optimizer_point(circuits: &[Circuit]) -> (u64, u64) {
+    let mut adjacent = Fingerprint64::new();
+    let mut commutative = Fingerprint64::new();
+    for c in circuits {
+        for (pass, h) in [
+            (cancel_gates as fn(&mut Circuit) -> _, &mut adjacent),
+            (cancel_gates_commutative, &mut commutative),
+        ] {
+            let mut out = c.clone();
+            let r = pass(&mut out);
+            h.write_u64(circuit_digest(&out));
+            for k in [r.removed_cnots, r.removed_swaps, r.removed_1q, r.merged_rz] {
+                h.write_usize(k);
+            }
+        }
+    }
+    (adjacent.finish(), commutative.finish())
+}
+
+fn random_optimizer_cases() -> Vec<Circuit> {
+    (0..32).map(random_cancellable).collect()
+}
+
+fn molecule_optimizer_cases() -> Vec<Circuit> {
+    [Molecule::LiH, Molecule::CO2]
+        .into_iter()
+        .map(|m| max_cancel::logical_circuit(&m.uccsd_hamiltonian(Encoding::JordanWigner)))
+        .collect()
+}
+
+/// `(adjacent, commutative)` digests for the 32 random circuits, then for
+/// the LiH and CO₂ logical circuits of the max-cancel synthesis, taken
+/// from the `VecDeque`-driven pass over a copied gate list that preceded
+/// the in-place DAG.
+const OPTIMIZER_GOLDENS: [(u64, u64); 2] = [
+    (0xfcc3c1e5a4eb9d19, 0x437904f38419d354),
+    (0xe56ab3fdece1c04b, 0xe56ab3fdece1c04b),
+];
+
+#[test]
+fn peephole_outputs_match_pre_rewrite_goldens() {
+    let got = [
+        optimizer_point(&random_optimizer_cases()),
+        optimizer_point(&molecule_optimizer_cases()),
+    ];
+    for (i, (got, expected)) in got.into_iter().zip(OPTIMIZER_GOLDENS).enumerate() {
+        assert_eq!(
+            got,
+            expected,
+            "peephole output diverged from the golden ({} set)",
+            ["random", "molecule"][i]
+        );
+    }
+}
+
 /// Regenerates the golden tables: `cargo test --test scheduling_goldens \
 /// -- --ignored --nocapture print_goldens`. Only legitimate after an
 /// *intentional* algorithmic change, never to paper over a refactor.
@@ -267,5 +370,10 @@ fn print_goldens() {
     for (h, graph, config) in compiler_cases() {
         let (c, l, b) = compiled_point(&h, &graph, config);
         println!("    (0x{c:016x}, 0x{l:016x}, 0x{b:016x}),");
+    }
+    println!("OPTIMIZER_GOLDENS:");
+    for cases in [random_optimizer_cases(), molecule_optimizer_cases()] {
+        let (a, c) = optimizer_point(&cases);
+        println!("    (0x{a:016x}, 0x{c:016x}),");
     }
 }
