@@ -14,7 +14,7 @@
 use crate::common::BaselineResult;
 use std::time::Instant;
 use tetris_circuit::{CancelReport, Circuit};
-use tetris_core::cluster::{bfs_avoiding, swap_along};
+use tetris_core::cluster::{swap_along, BfsField};
 use tetris_core::emit::{emit_block, split_uniform_groups};
 use tetris_core::stats::CompileStats;
 use tetris_core::tree::{NodeKind, SynthesisTree};
@@ -148,6 +148,7 @@ pub fn grow_from_connected_component(
         .copied()
         .filter(|&q| !placed.contains(layout.phys_of(q).expect("qubit placed")))
         .collect();
+    let mut field = BfsField::default();
     while !remaining.is_empty() {
         let (idx, _) = remaining
             .iter()
@@ -163,7 +164,7 @@ pub fn grow_from_connected_component(
             .expect("non-empty");
         let q = remaining.swap_remove(idx);
         let start = layout.phys_of(q).expect("placed");
-        let field = bfs_avoiding(graph, start, &placed);
+        field.fill(graph, start, &placed);
         let attach = (0..n_phys)
             .filter(|&p| field.dist[p] != u32::MAX && !placed.contains(p))
             .filter(|&p| graph.neighbors(p).any(|m| placed.contains(m)))

@@ -8,8 +8,9 @@
 //! This reproduction models that profile with the strongest logical
 //! pipeline available in the workspace: globally similarity-ordered blocks
 //! (a greedy chain over the block list, maximizing inter-block leaf-section
-//! overlap) synthesized with leaf-deep single chains, canceled logically,
-//! then routed from a trivial layout.
+//! overlap through the shared Eq. 1 [`SimilarityIndex`]) synthesized with
+//! leaf-deep single chains, canceled logically, then routed from a trivial
+//! layout.
 
 use crate::common::{chain_tree, route_and_finish, BaselineResult};
 use std::time::Instant;
@@ -18,6 +19,7 @@ use tetris_core::emit::{emit_block, split_uniform_groups};
 use tetris_obs::trace::{self, Stage};
 use tetris_pauli::block::greedy_similarity_order;
 use tetris_pauli::ir::TetrisBlock;
+use tetris_pauli::similarity::SimilarityIndex;
 use tetris_pauli::Hamiltonian;
 use tetris_topology::CouplingGraph;
 
@@ -48,11 +50,12 @@ pub fn logical_circuit(hamiltonian: &Hamiltonian) -> Circuit {
     })
 }
 
-/// Greedy similarity chain over blocks (start at max active length).
-/// The unchained-block set is a packed mask — the per-round candidate
-/// scan walks set bits, and removal is one bit clear instead of a
-/// `retain` pass.
+/// Greedy similarity chain over blocks (start at max active length), each
+/// step taking the [`SimilarityIndex::best`] match to the block just
+/// chained. The unchained-block set is a packed mask, so removal is one bit
+/// clear.
 fn block_chain(blocks: &[TetrisBlock]) -> Vec<usize> {
+    let index = SimilarityIndex::new(blocks);
     let mut remaining = tetris_pauli::mask::QubitMask::full(blocks.len());
     let mut order = Vec::with_capacity(blocks.len());
     let Some(first) = remaining
@@ -63,16 +66,7 @@ fn block_chain(blocks: &[TetrisBlock]) -> Vec<usize> {
     };
     remaining.remove(first);
     order.push(first);
-    while !remaining.is_empty() {
-        let last = *order.last().expect("non-empty");
-        // One word-parallel similarity evaluation per candidate per
-        // round (the comparator-driven form recomputed both sides on
-        // every comparison).
-        let (_, next) = remaining
-            .iter()
-            .map(|i| (blocks[last].similarity(&blocks[i]), i))
-            .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(b.1.cmp(&a.1)))
-            .expect("non-empty");
+    while let Some(next) = index.best(*order.last().expect("non-empty"), &remaining) {
         remaining.remove(next);
         order.push(next);
     }

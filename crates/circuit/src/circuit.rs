@@ -1,6 +1,7 @@
 //! The flat circuit container.
 
 use crate::gate::Gate;
+use tetris_pauli::fingerprint::Fingerprint64;
 use tetris_topology::CouplingGraph;
 
 /// An ordered list of gates on `n_qubits` qubits.
@@ -19,6 +20,15 @@ impl Circuit {
         Circuit {
             n_qubits: n,
             gates: Vec::new(),
+        }
+    }
+
+    /// An empty circuit on `n` qubits with room for `gates` gates, for
+    /// builders that know the final length up front (the artifact decoder).
+    pub fn with_capacity(n: usize, gates: usize) -> Self {
+        Circuit {
+            n_qubits: n,
+            gates: Vec::with_capacity(gates),
         }
     }
 
@@ -150,6 +160,39 @@ impl Circuit {
     pub fn retain(&mut self, keep: impl FnMut(&Gate) -> bool) {
         self.gates.retain(keep);
     }
+
+    /// A stable digest of the gate stream: register width, length, then per
+    /// gate a kind tag, its operands and the IEEE bit pattern of any angle.
+    /// [`Fingerprint64`] is release-stable, so digests pinned in tests
+    /// survive toolchain bumps. A different gate, operand, order or angle
+    /// bit moves it.
+    pub fn content_digest(&self) -> u64 {
+        let mut h = Fingerprint64::new();
+        h.write_usize(self.n_qubits);
+        h.write_usize(self.gates.len());
+        for g in &self.gates {
+            let (tag, a, b) = match *g {
+                Gate::H(q) => (b'H', q, None),
+                Gate::S(q) => (b'S', q, None),
+                Gate::Sdg(q) => (b'D', q, None),
+                Gate::X(q) => (b'X', q, None),
+                Gate::Rz(q, _) => (b'R', q, None),
+                Gate::Cnot(a, b) => (b'C', a, Some(b)),
+                Gate::Swap(a, b) => (b'W', a, Some(b)),
+                Gate::Measure(q) => (b'M', q, None),
+                Gate::Reset(q) => (b'Z', q, None),
+            };
+            h.write_u8(tag);
+            h.write_usize(a);
+            if let Some(b) = b {
+                h.write_usize(b);
+            }
+            if let Gate::Rz(_, theta) = *g {
+                h.write_f64(theta);
+            }
+        }
+        h.finish()
+    }
 }
 
 impl FromIterator<Gate> for Circuit {
@@ -223,6 +266,25 @@ mod tests {
         let mut bad = Circuit::new(3);
         bad.push(Gate::Cnot(0, 2));
         assert!(!bad.is_hardware_compliant(&line));
+    }
+
+    #[test]
+    fn content_digest_sees_angles_operands_and_order() {
+        let base = sample().content_digest();
+        assert_eq!(base, sample().content_digest());
+        let mut flipped = Circuit::new(3);
+        flipped.push(Gate::H(0));
+        flipped.push(Gate::Cnot(1, 0));
+        flipped.push(Gate::Swap(1, 2));
+        flipped.push(Gate::Rz(2, 0.3));
+        assert_ne!(flipped.content_digest(), base, "CNOT operands");
+        let mut negated = sample();
+        negated.retain(|g| !matches!(g, Gate::Rz(..)));
+        negated.push(Gate::Rz(2, -0.3));
+        assert_ne!(negated.content_digest(), base, "Rz sign");
+        let mut wider = Circuit::with_capacity(4, 4);
+        wider.extend(sample().gates().iter().copied());
+        assert_ne!(wider.content_digest(), base, "register width");
     }
 
     #[test]

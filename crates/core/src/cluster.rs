@@ -9,26 +9,54 @@
 //! All qubit sets here are packed [`QubitMask`]s: the gather loop's
 //! member/frontier tracking, the BFS walls and the `findCenter` candidate
 //! scan run on word-parallel set operations; `Vec<usize>` appears only in
-//! BFS path reconstruction, where order is the payload.
+//! BFS path reconstruction, where order is the payload. Each gather reuses
+//! one [`BfsField`], refilled in place for every qubit it routes.
 
 use crate::config::TreeBias;
 use crate::tree::{NodeKind, SynthesisTree};
-use std::collections::VecDeque;
 use tetris_circuit::{Circuit, Gate};
 use tetris_pauli::mask::QubitMask;
 use tetris_topology::{CouplingGraph, Layout};
 
-/// Result of a BFS over the coupling graph that treats `blocked` nodes as
-/// walls (start is always allowed).
-#[derive(Debug, Clone)]
+/// A BFS over the coupling graph that treats `blocked` nodes as walls
+/// (start is always allowed). One field is refilled in place per search
+/// ([`fill`](BfsField::fill)), so a loop of searches allocates its buffers
+/// once.
+#[derive(Debug, Clone, Default)]
 pub struct BfsField {
     /// Distance from the start per physical node (`u32::MAX` = unreachable).
     pub dist: Vec<u32>,
     /// BFS predecessor per node (`usize::MAX` for start/unreachable).
     pub prev: Vec<usize>,
+    /// The FIFO, as a vector read from the front (each node enters once).
+    queue: Vec<usize>,
 }
 
 impl BfsField {
+    /// Refills the field with a BFS from `start` that never enters nodes in
+    /// the `blocked` set (start is always allowed).
+    pub fn fill(&mut self, graph: &CouplingGraph, start: usize, blocked: &QubitMask) {
+        let n = graph.n_qubits();
+        self.dist.clear();
+        self.dist.resize(n, u32::MAX);
+        self.prev.clear();
+        self.prev.resize(n, usize::MAX);
+        self.queue.clear();
+        self.dist[start] = 0;
+        self.queue.push(start);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            for v in graph.neighbors(u) {
+                if self.dist[v] == u32::MAX && !blocked.contains(v) {
+                    self.dist[v] = self.dist[u] + 1;
+                    self.prev[v] = u;
+                    self.queue.push(v);
+                }
+            }
+        }
+    }
+
     /// Reconstructs the path from the BFS start to `target` (inclusive).
     ///
     /// # Panics
@@ -44,27 +72,6 @@ impl BfsField {
         path.reverse();
         path
     }
-}
-
-/// BFS from `start`, never entering nodes in the `blocked` set (start is
-/// always allowed).
-pub fn bfs_avoiding(graph: &CouplingGraph, start: usize, blocked: &QubitMask) -> BfsField {
-    let n = graph.n_qubits();
-    let mut dist = vec![u32::MAX; n];
-    let mut prev = vec![usize::MAX; n];
-    let mut queue = VecDeque::new();
-    dist[start] = 0;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        for v in graph.neighbors(u) {
-            if dist[v] == u32::MAX && !blocked.contains(v) {
-                dist[v] = dist[u] + 1;
-                prev[v] = u;
-                queue.push_back(v);
-            }
-        }
-    }
-    BfsField { dist, prev }
 }
 
 /// Moves the occupant of `path[0]` to `path.last()` by SWAPping along the
@@ -149,6 +156,7 @@ pub fn gather_cluster(
     cluster.insert(center);
     let mut depth = vec![u32::MAX; graph.n_qubits()];
     depth[center] = 0;
+    let mut field = BfsField::default();
 
     while !remaining.is_empty() {
         // Nearest-to-cluster first (free distances are a fine ordering
@@ -168,7 +176,7 @@ pub fn gather_cluster(
         remaining.remove(q);
         let start = layout.phys_of(q).expect("qubit placed");
 
-        let field = bfs_avoiding(graph, start, placed);
+        field.fill(graph, start, placed);
         // Attach at the reachable node (possibly `start` itself) that is
         // adjacent to the cluster, minimizing travel distance.
         let attach = (0..graph.n_qubits())
@@ -272,10 +280,15 @@ mod tests {
     fn bfs_respects_walls() {
         let g = CouplingGraph::ring(6);
         let blocked = QubitMask::from_indices(6, &[1]);
-        let f = bfs_avoiding(&g, 0, &blocked);
+        let mut f = BfsField::default();
+        f.fill(&g, 0, &blocked);
         assert_eq!(f.dist[2], 4); // the long way around
         assert_eq!(f.path_to(2), vec![0, 5, 4, 3, 2]);
         assert_eq!(f.dist[1], u32::MAX);
+        // A refill forgets the previous walls and start.
+        f.fill(&g, 3, &QubitMask::empty(6));
+        assert_eq!(f.dist[0], 3);
+        assert_eq!(f.path_to(1), vec![3, 2, 1]);
     }
 
     #[test]

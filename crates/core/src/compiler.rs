@@ -10,6 +10,7 @@ use tetris_circuit::{CancelReport, Circuit};
 use tetris_obs::trace::{self, Stage};
 use tetris_pauli::block::greedy_similarity_order;
 use tetris_pauli::ir::{TetrisBlock, TetrisIr};
+use tetris_pauli::similarity::SimilarityIndex;
 use tetris_pauli::{Hamiltonian, PauliBlock};
 use tetris_topology::{CouplingGraph, Layout};
 
@@ -94,6 +95,7 @@ impl TetrisCompiler {
         // The set of unscheduled block indices, packed: the scheduler's
         // candidate scans walk set bits instead of a shrinking Vec.
         let mut remaining = tetris_pauli::mask::QubitMask::full(blocks.len());
+        let mut index = trace::timed(Stage::Scheduling, || SimilarityIndex::new(&blocks));
         let mut last: Option<usize> = None;
         while !remaining.is_empty() {
             let next = trace::timed(Stage::Scheduling, || match (self.config.scheduler, last) {
@@ -103,6 +105,7 @@ impl TetrisCompiler {
                 (SchedulerKind::Lookahead, None) => pick_first(&blocks, &remaining),
                 (SchedulerKind::Lookahead, Some(l)) => pick_next(
                     &blocks,
+                    &mut index,
                     &remaining,
                     l,
                     self.config.lookahead,

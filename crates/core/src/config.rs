@@ -91,7 +91,16 @@ impl TetrisConfig {
     }
 
     /// Sets the SWAP weight (builder style).
+    ///
+    /// # Panics
+    /// Panics unless `w` is finite and ≥ 0: `w` is a SWAP's CNOT cost
+    /// (§V-A), and leaf attachment prunes on scores not decreasing in
+    /// distance.
     pub fn with_swap_weight(mut self, w: f64) -> Self {
+        assert!(
+            w.is_finite() && w >= 0.0,
+            "swap weight must be finite and ≥ 0, got {w}"
+        );
         self.swap_weight = w;
         self
     }
@@ -183,6 +192,18 @@ mod tests {
                 base.fingerprint(),
                 "variant {i} must change the fingerprint"
             );
+        }
+    }
+
+    #[test]
+    fn swap_weight_must_be_a_non_negative_number() {
+        assert_eq!(
+            TetrisConfig::default().with_swap_weight(0.0).swap_weight,
+            0.0
+        );
+        for w in [-1.0, -1e-9, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let refused = std::panic::catch_unwind(|| TetrisConfig::default().with_swap_weight(w));
+            assert!(refused.is_err(), "w = {w} must be refused");
         }
     }
 

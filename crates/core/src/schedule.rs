@@ -3,7 +3,9 @@
 //! 1. Start with the block of largest *active length* (most non-identity
 //!    operators — the richest cancellation opportunity).
 //! 2. Rank the remaining blocks by leaf-section similarity (Eq. 1) to the
-//!    block just synthesized; take the top-K.
+//!    block just synthesized; take the top-K. The ranking runs on a
+//!    [`SimilarityIndex`] built once per compile: exact integer ratios over
+//!    one flat word array, and a partial selection instead of a full sort.
 //! 3. Among those candidates, schedule the one whose root set is cheapest
 //!    to gather under the *current* layout (SWAP-cost estimate).
 //! 4. Repeat.
@@ -15,6 +17,7 @@
 use crate::cluster::find_center;
 use tetris_pauli::ir::TetrisBlock;
 use tetris_pauli::mask::QubitMask;
+use tetris_pauli::similarity::SimilarityIndex;
 use tetris_topology::{CouplingGraph, Layout};
 
 /// Estimated SWAPs needed to gather `block`'s root set under `layout`: the
@@ -43,9 +46,11 @@ pub fn pick_first(blocks: &[TetrisBlock], remaining: &QubitMask) -> usize {
 }
 
 /// Picks the next block: top-`k` by similarity to `last`, then minimum
-/// root-gathering cost (ties toward the original order).
+/// root-gathering cost (ties toward the original order). `index` is
+/// `blocks`' [`SimilarityIndex`].
 pub fn pick_next(
     blocks: &[TetrisBlock],
+    index: &mut SimilarityIndex,
     remaining: &QubitMask,
     last: usize,
     k: usize,
@@ -53,16 +58,9 @@ pub fn pick_next(
     layout: &Layout,
 ) -> usize {
     debug_assert!(!remaining.is_empty());
-    let mut ranked: Vec<(f64, usize)> = remaining
-        .iter()
-        .map(|i| (blocks[last].similarity(&blocks[i]), i))
-        .collect();
-    // Descending similarity, ascending index.
-    ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-    ranked.truncate(k.max(1));
-    ranked
-        .iter()
-        .map(|&(_, i)| (root_gather_cost(graph, layout, &blocks[i]), i))
+    index
+        .top_k(last, remaining, k)
+        .map(|i| (root_gather_cost(graph, layout, &blocks[i]), i))
         .min()
         .map(|(_, i)| i)
         .expect("candidates non-empty")
@@ -104,18 +102,14 @@ mod tests {
             block(&["IXZZZY", "IYZZZX"]), // leaves {2,3,4} → similar to 0
             block(&["XYIIII", "YXIIII"]), // no leaf overlap, cheap roots
         ];
+        let mut index = SimilarityIndex::new(&blocks);
+        let remaining = QubitMask::from_indices(3, &[1, 2]);
         // With k = 1 the similarity ranking gates the candidate set: only
         // block 1 survives, despite block 2's cheaper root gathering.
-        assert_eq!(
-            pick_next(&blocks, &QubitMask::from_indices(3, &[1, 2]), 0, 1, &g, &l),
-            1
-        );
+        assert_eq!(pick_next(&blocks, &mut index, &remaining, 0, 1, &g, &l), 1);
         // With k ≥ remaining, every block is a candidate and the SWAP-cost
         // tie-breaker picks the cheaper root set (paper §V-B step 3).
-        assert_eq!(
-            pick_next(&blocks, &QubitMask::from_indices(3, &[1, 2]), 0, 10, &g, &l),
-            2
-        );
+        assert_eq!(pick_next(&blocks, &mut index, &remaining, 0, 10, &g, &l), 2);
     }
 
     #[test]
@@ -129,8 +123,17 @@ mod tests {
             block(&["IXZZZY", "IYZZZX"]),
             block(&["XYIIII", "YXIIII"]),
         ];
+        let mut index = SimilarityIndex::new(&blocks);
         assert_eq!(
-            pick_next(&blocks, &QubitMask::from_indices(3, &[1, 2]), 0, 1, &g, &l),
+            pick_next(
+                &blocks,
+                &mut index,
+                &QubitMask::from_indices(3, &[1, 2]),
+                0,
+                1,
+                &g,
+                &l
+            ),
             1
         );
     }

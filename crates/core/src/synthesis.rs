@@ -1,7 +1,7 @@
 //! Single-block circuit synthesis with respect to hardware — the paper's
 //! Algorithm 1 plus fast bridging (§V-A).
 
-use crate::cluster::{bfs_avoiding, find_center, gather_cluster, swap_along};
+use crate::cluster::{find_center, gather_cluster, swap_along, BfsField};
 use crate::config::TetrisConfig;
 use crate::tree::{NodeKind, SynthesisTree};
 use tetris_circuit::Circuit;
@@ -62,22 +62,50 @@ pub fn synthesize_block(
 
     // 2. Leaf trees: attach leaf qubits by minimum score (Alg. 1 l. 9-14).
     let n_strings = block.n_strings();
+    let w = config.swap_weight;
+    debug_assert!(w >= 0.0, "the leaf bound needs a swap weight ≥ 0");
     let mut unplaced = block.leaf_mask.clone();
+    // Two BFS fields, refilled in place: `field` for the leaf being
+    // scored, `best_field` for the leaf holding the best candidate so far.
+    let mut field = BfsField::default();
+    let mut best_field = BfsField::default();
+    let mut order: Vec<(f64, usize)> = Vec::with_capacity(unplaced.count());
     while !unplaced.is_empty() {
-        // Evaluate score(qn, qm) for every unplaced leaf and placed node;
-        // ties break on (d, qn, qm) for determinism.
+        // Evaluate score(qn, qm) over unplaced leaves qn and placed nodes
+        // qm; ties break on (d, qn, qm) for determinism. Each leaf first
+        // gets the lower bound lb(qn) = min over qm of
+        // leaf_score(max(hop(pos(qn), qm), 1), …): the real distance
+        // d = dist_avoiding(pos(qn), nb) + 1 is at least the hop count to
+        // qm, and leaf_score does not decrease in d for w ≥ 0. Leaves are
+        // scored (one BFS each) in ascending (lb, qn) order, and the scan
+        // stops at the first lb beyond the best score by more than the tie
+        // tolerance: no later leaf can beat or tie it. The winner is the
+        // minimum of the tie rule, so it does not depend on visiting order.
+        order.clear();
+        for qn in unplaced.iter() {
+            let hops = graph.hop_row(layout.phys_of(qn).expect("leaf qubit placed"));
+            let lb = tree
+                .nodes_iter()
+                .map(|qm| leaf_score(hops[qm].max(1), root_positions.contains(qm), n_strings, w))
+                .fold(f64::INFINITY, f64::min);
+            order.push((lb, qn));
+        }
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         struct Candidate {
             score: f64,
             d: u32,
             qn: usize,
             qm: usize,
             attach: usize,
-            path: Vec<usize>,
         }
         let mut best: Option<Candidate> = None;
-        for qn in unplaced.iter() {
+        for &(lb, qn) in &order {
+            if best.as_ref().is_some_and(|b| lb > b.score + 1e-12) {
+                break;
+            }
             let start = layout.phys_of(qn).expect("leaf qubit placed");
-            let field = bfs_avoiding(graph, start, &placed);
+            field.fill(graph, start, &placed);
+            let mut improved = false;
             for qm in tree.nodes_iter() {
                 // d = 1 + min reachable distance to a free neighbor of qm
                 // (d = 1 when qn is already adjacent to qm).
@@ -87,12 +115,7 @@ pub fn synthesize_block(
                     .min_by_key(|&nb| (field.dist[nb], nb));
                 let Some(nb) = reach else { continue };
                 let d = field.dist[nb] + 1;
-                let score = leaf_score(
-                    d,
-                    root_positions.contains(qm),
-                    n_strings,
-                    config.swap_weight,
-                );
+                let score = leaf_score(d, root_positions.contains(qm), n_strings, w);
                 let better = match &best {
                     None => true,
                     Some(b) => {
@@ -101,26 +124,25 @@ pub fn synthesize_block(
                     }
                 };
                 if better {
-                    let mut path = field.path_to(nb);
-                    path.push(qm);
                     best = Some(Candidate {
                         score,
                         d,
                         qn,
                         qm,
                         attach: nb,
-                        path,
                     });
+                    improved = true;
                 }
             }
+            if improved {
+                std::mem::swap(&mut field, &mut best_field);
+            }
         }
-        let Candidate {
-            qn,
-            qm,
-            attach,
-            path,
-            ..
-        } = best.expect("a connected graph always exposes an attachable node");
+        let Candidate { qn, qm, attach, .. } =
+            best.expect("a connected graph always exposes an attachable node");
+        // The path is built once, for the winner: [pos(qn), …, attach, qm].
+        let mut path = best_field.path_to(attach);
+        path.push(qm);
         unplaced.remove(qn);
 
         // Bridging (§IV-C): if every interior node of the path is a free

@@ -307,11 +307,12 @@ pub fn decode_output(bytes: &[u8]) -> Result<EngineOutput, CodecError> {
     let n_qubits = r.u32()? as usize;
     let n_gates = r.u32()? as usize;
     // A gate occupies at least 5 bytes; reject absurd counts before
-    // allocating (a corrupt length must not OOM the loader).
+    // allocating (a corrupt length must not OOM the loader). Past the
+    // check, the gate list is allocated once at its final length.
     if n_gates > content.len() / 5 + 1 {
         return Err(CodecError::Invalid("gate count exceeds stream size"));
     }
-    let mut circuit = Circuit::new(n_qubits);
+    let mut circuit = Circuit::with_capacity(n_qubits, n_gates);
     for _ in 0..n_gates {
         let gate = match r.u8()? {
             0 => Gate::H(r.qubit(n_qubits)?),

@@ -101,8 +101,10 @@ impl CompileJob {
     /// register for UCC-shaped work, and the whole device for the 2-local
     /// path (one string per block) that Tetris's QAOA pass and 2QAN take,
     /// since both place and route every term over all of it. The factors
-    /// are fitted to a serial profile of the 72-job cold suite on
-    /// `heavy-hex` (Spearman ρ = 0.99 against measured times).
+    /// are the geometric mean of `time / (strings × width)` per backend
+    /// over a serial profile of the 72-job cold suite on `heavy-hex`
+    /// (Spearman ρ = 0.995 against measured times). MaxCancel, which the
+    /// suite does not run, keeps its ratio to TKet, whose router it shares.
     pub fn estimated_cost(&self) -> u64 {
         self.estimated_cost_on(self.graph.n_qubits())
     }
@@ -113,14 +115,14 @@ impl CompileJob {
         let ham = &self.hamiltonian;
         let two_local = ham.blocks.iter().all(|b| b.len() == 1);
         let (width, factor) = match self.backend {
-            Backend::Tetris(_) if two_local => (device_qubits, 490),
-            Backend::Qaoa2qan { .. } => (device_qubits, 160),
-            Backend::Tetris(c) if c.scheduler == SchedulerKind::Lookahead => (ham.n_qubits, 95),
-            Backend::Tetris(_) => (ham.n_qubits, 65),
-            Backend::Generic(_) => (ham.n_qubits, 70),
-            Backend::PcoastLike => (ham.n_qubits, 63),
-            Backend::MaxCancel => (ham.n_qubits, 50),
-            Backend::Paulihedral { .. } => (ham.n_qubits, 36),
+            Backend::Tetris(_) if two_local => (device_qubits, 395),
+            Backend::Qaoa2qan { .. } => (device_qubits, 134),
+            Backend::Tetris(c) if c.scheduler == SchedulerKind::Lookahead => (ham.n_qubits, 40),
+            Backend::Tetris(_) => (ham.n_qubits, 32),
+            Backend::Generic(_) => (ham.n_qubits, 39),
+            Backend::PcoastLike => (ham.n_qubits, 33),
+            Backend::MaxCancel => (ham.n_qubits, 28),
+            Backend::Paulihedral { .. } => (ham.n_qubits, 22),
         };
         (ham.pauli_string_count() * width) as u64 * factor
     }

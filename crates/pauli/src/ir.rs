@@ -13,6 +13,7 @@ use crate::block::{Hamiltonian, PauliBlock};
 use crate::fingerprint::Fingerprint64;
 use crate::mask::QubitMask;
 use crate::op::PauliOp;
+use crate::similarity::{common_leaves, Similarity};
 use std::fmt;
 
 /// A [`PauliBlock`] analyzed into root / leaf qubit sets.
@@ -118,14 +119,16 @@ impl TetrisBlock {
     /// `S(T1,T2) = |C| / (|LT1| + |LT2| − |C|)` where `C` is the set of
     /// qubits carrying the same leaf operator in both blocks.
     ///
-    /// `|C|` is computed word-parallel: a qubit is in `C` iff both leaf
-    /// masks have it and the first strings' bitplanes agree there (leaf
-    /// operators equal the first string's operator by definition).
+    /// This is the one-pair form; it runs the same word kernel
+    /// ([`common_leaves`]) as [`SimilarityIndex`], which ranks a whole
+    /// block list.
     ///
     /// Returns 0 when both leaf sets are empty.
     ///
     /// # Panics
     /// Panics if the blocks act on different register widths.
+    ///
+    /// [`SimilarityIndex`]: crate::similarity::SimilarityIndex
     pub fn similarity(&self, other: &TetrisBlock) -> f64 {
         let a = &self.block.terms[0].string;
         let b = &other.block.terms[0].string;
@@ -134,31 +137,24 @@ impl TetrisBlock {
             b.n_qubits(),
             "similarity across register widths"
         );
-        // Disjoint first-string supports ⇒ disjoint leaf sections ⇒ |C| = 0
-        // (whatever the denominator); the common case when ranking a whole
-        // block list, answered without touching the leaf masks.
-        if !a.supports_overlap(b) {
-            return 0.0;
-        }
-        let mut c = 0usize;
-        for (w, (&la, &lb)) in self
-            .leaf_mask
-            .words()
-            .iter()
-            .zip(other.leaf_mask.words())
-            .enumerate()
-        {
-            let same_op = !((a.x_words()[w] ^ b.x_words()[w]) | (a.z_words()[w] ^ b.z_words()[w]));
-            c += (la & lb & same_op).count_ones() as usize;
-        }
-        // Count from the masks (not `leaf_set.len()`) so the whole metric
-        // depends on one field.
-        let denom = self.leaf_mask.count() + other.leaf_mask.count() - c;
-        if denom == 0 {
-            0.0
-        } else {
-            c as f64 / denom as f64
-        }
+        let common = (0..self.leaf_mask.words().len())
+            .map(|w| {
+                common_leaves(
+                    self.leaf_mask.words()[w],
+                    a.x_words()[w],
+                    a.z_words()[w],
+                    other.leaf_mask.words()[w],
+                    b.x_words()[w],
+                    b.z_words()[w],
+                )
+            })
+            .sum();
+        Similarity::new(
+            common,
+            self.leaf_mask.count() as u32,
+            other.leaf_mask.count() as u32,
+        )
+        .to_f64()
     }
 }
 

@@ -39,6 +39,7 @@ pub mod op;
 pub mod phase;
 pub mod qaoa;
 pub mod rng;
+pub mod similarity;
 pub mod string;
 pub mod trotter;
 pub mod uccsd;

@@ -5,10 +5,17 @@
 //! dedup (packed over edge keys `min·n + max`) all run on packed
 //! [`QubitMask`]s, and the extended (lookahead) window is held in a decay
 //! cache that is only rebuilt when a gate actually executes. Two
-//! structures deliberately stay `Vec`s: the front layer itself (its
-//! insertion order fixes the f64 summation order of the score, which must
-//! stay bit-identical) and the ready-check worklist (its order is the
-//! drain order of executable gates).
+//! structures deliberately stay `Vec`s: the front layer itself (its first
+//! gate is what the stall fallback force-routes) and the ready-check
+//! worklist (its order is the drain order of executable gates).
+//!
+//! Swap candidates are scored once each, by delta (as LightSABRE does):
+//! per step the front and extended pairs are mapped to physical pairs and
+//! their integer distance sums `F0` and `E0` taken, and a candidate
+//! `(u, v)` re-measures only the pairs touching `u` or `v`, reached through
+//! per-node pair lists. The score `F/|F| + w·E/|E|` is then evaluated on
+//! the exact integer sums; integer-valued `f64` sums below 2^53 are exact
+//! in any order, so each score is bit-identical to summing every pair.
 
 use tetris_circuit::{Circuit, Gate};
 use tetris_pauli::mask::QubitMask;
@@ -119,6 +126,14 @@ pub fn route(
     // so the clear costs O(candidates), not O(n²/64) words.
     let n_phys = graph.n_qubits();
     let mut in_candidates = QubitMask::empty((n_phys * n_phys).max(1));
+    // Per-step scoring state, reused: the front then extended pairs on
+    // physical qubits with their current distances, and per physical node
+    // an intrusive list of pair endpoints (`node_head[p]` → endpoint
+    // `2·pair + side` → `endpoint_next[…]`, `NONE`-terminated).
+    let mut phys_pairs: Vec<(usize, usize)> = Vec::new();
+    let mut pair_dist: Vec<u32> = Vec::new();
+    let mut node_head = vec![NONE; n_phys];
+    let mut endpoint_next: Vec<u32> = Vec::new();
     loop {
         // Phase 1: drain every ready & executable gate.
         let mut progressed = true;
@@ -278,35 +293,71 @@ pub fn route(
             }
         }
 
-        let score = |swap: (usize, usize), layout: &Layout| -> f64 {
-            let d = |lq: usize| -> usize {
-                let mut p = layout.phys_of(lq).unwrap();
-                if p == swap.0 {
-                    p = swap.1;
-                } else if p == swap.1 {
-                    p = swap.0;
+        // Map the front and extended pairs to physical pairs once, and
+        // link each endpoint into its node's list.
+        phys_pairs.clear();
+        pair_dist.clear();
+        endpoint_next.clear();
+        for &(a, b) in front_pairs.iter().chain(ext) {
+            let pair = (layout.phys_of(a).unwrap(), layout.phys_of(b).unwrap());
+            for p in [pair.0, pair.1] {
+                endpoint_next.push(node_head[p]);
+                node_head[p] = endpoint_next.len() as u32 - 1;
+            }
+            phys_pairs.push(pair);
+            pair_dist.push(graph.dist(pair.0, pair.1));
+        }
+        let n_front = front_pairs.len();
+        let sum = |d: &[u32]| d.iter().map(|&x| x as i64).sum::<i64>();
+        let (f0, e0) = (sum(&pair_dist[..n_front]), sum(&pair_dist[n_front..]));
+        let score = |(u, v): (usize, usize)| -> f64 {
+            let moved = |p: usize| {
+                if p == u {
+                    v
+                } else if p == v {
+                    u
+                } else {
+                    p
                 }
-                p
             };
-            let dist = |a: usize, b: usize| graph.dist(d(a), d(b)) as f64;
-            let f: f64 = front_pairs.iter().map(|&(a, b)| dist(a, b)).sum();
-            let e: f64 = if ext.is_empty() {
+            let (mut f, mut e) = (f0, e0);
+            for node in [u, v] {
+                let mut at = node_head[node];
+                while at != NONE {
+                    let pair = at as usize / 2;
+                    let (a, b) = phys_pairs[pair];
+                    // A pair on both swapped nodes is met twice, but its
+                    // distance is symmetric and so its delta is zero.
+                    let delta = graph.dist(moved(a), moved(b)) as i64 - pair_dist[pair] as i64;
+                    if pair < n_front {
+                        f += delta;
+                    } else {
+                        e += delta;
+                    }
+                    at = endpoint_next[at as usize];
+                }
+            }
+            let e = if ext.is_empty() {
                 0.0
             } else {
-                ext.iter().map(|&(a, b)| dist(a, b)).sum::<f64>() / ext.len() as f64
+                e as f64 / ext.len() as f64
             };
-            f / front_pairs.len() as f64 + config.extended_weight * e
+            f as f64 / n_front as f64 + config.extended_weight * e
         };
 
-        let &best = candidates
+        let (_, best) = candidates
             .iter()
-            .min_by(|&&x, &&y| {
-                score(x, &layout)
-                    .partial_cmp(&score(y, &layout))
-                    .unwrap()
-                    .then(x.cmp(&y))
+            .map(|&c| (score(c), c))
+            .min_by(|x, y| {
+                x.0.partial_cmp(&y.0)
+                    .expect("swap scores are numbers")
+                    .then(x.1.cmp(&y.1))
             })
             .expect("at least one candidate swap");
+        for &(a, b) in &phys_pairs {
+            node_head[a] = NONE;
+            node_head[b] = NONE;
+        }
         out.push(Gate::Swap(best.0, best.1));
         layout.swap_phys(best.0, best.1);
         swap_count += 1;
@@ -327,6 +378,9 @@ pub fn route(
         swap_count,
     }
 }
+
+/// End of a per-node endpoint list.
+const NONE: u32 = u32::MAX;
 
 #[inline]
 fn two_qubits(g: &Gate) -> (usize, usize) {

@@ -142,13 +142,18 @@ fn long_poll_answers_on_completion_and_matches_polled_body() {
 
 #[test]
 fn long_poll_timeout_falls_back_to_pending() {
-    // One worker, and job 1 is a compile heavy enough (~300ms release)
-    // to still own it when the 100ms park below expires — so job 2 is
-    // deterministically pending however fast the machine is.
-    const BLOCKER: &str = r#"{"workload": "UCC-28", "backend": "tetris", "device": "heavy-hex"}"#;
+    // One worker, and job 1 is a compile heavy enough (~450ms release) to
+    // still own it when the 100ms park below expires. It is posted as its
+    // own batch first: the engine queue is one FIFO across batches, so
+    // job 2 queues behind it whatever order a batch dispatches its own
+    // jobs in, and is deterministically pending however fast the machine
+    // is.
+    const BLOCKER: &str = r#"{"workload": "UCC-45", "backend": "tetris", "device": "heavy-hex"}"#;
     let (addr, _) = start(ServerConfig::default(), 1);
-    let submit = client::request(&addr, "POST", "/batch", &batch_body(&[BLOCKER, HEAVY]));
-    assert_eq!(submit.expect("submit").head.status, 200);
+    for job in [BLOCKER, HEAVY] {
+        let submit = client::request(&addr, "POST", "/batch", &batch_body(&[job]));
+        assert_eq!(submit.expect("submit").head.status, 200);
+    }
 
     let t0 = Instant::now();
     let parked = client::request(&addr, "GET", "/job/2?wait=1&wait_ms=100", "").expect("wait");

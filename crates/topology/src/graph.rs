@@ -67,6 +67,9 @@ pub struct CouplingGraph {
     name: String,
     /// Lazily-computed single-source distance rows.
     rows: Vec<OnceLock<Box<[u32]>>>,
+    /// Lazily-computed hop-count rows of a weighted graph (empty on unit
+    /// graphs, whose distance rows already count hops).
+    hop_rows: Vec<OnceLock<Box<[u32]>>>,
     /// Lazily-computed packed adjacency rows for O(1) `are_adjacent`.
     adj_rows: Vec<OnceLock<QubitMask>>,
     stats: RowStats,
@@ -83,6 +86,7 @@ impl Clone for CouplingGraph {
             unit: self.unit,
             name: self.name.clone(),
             rows: (0..self.n).map(|_| OnceLock::new()).collect(),
+            hop_rows: (0..self.hop_rows.len()).map(|_| OnceLock::new()).collect(),
             adj_rows: (0..self.n).map(|_| OnceLock::new()).collect(),
             stats: RowStats::default(),
         }
@@ -176,6 +180,11 @@ impl CouplingGraph {
             unit,
             name,
             rows: (0..n).map(|_| OnceLock::new()).collect(),
+            hop_rows: if unit {
+                Vec::new()
+            } else {
+                (0..n).map(|_| OnceLock::new()).collect()
+            },
             adj_rows: (0..n).map(|_| OnceLock::new()).collect(),
             stats: RowStats::default(),
         }
@@ -297,6 +306,19 @@ impl CouplingGraph {
         self.row(u)
     }
 
+    /// Hop counts from `u` (`row[v]` = fewest couplings between `u` and
+    /// `v`, [`UNREACHABLE`] if disconnected) — a lower bound on any walk's
+    /// edge count whatever the weights. On unit graphs this is the distance
+    /// row itself; weighted graphs keep a second lazily cached BFS row set,
+    /// since a summed weight is no bound on hops.
+    pub fn hop_row(&self, u: usize) -> &[u32] {
+        if self.unit {
+            self.row(u)
+        } else {
+            self.hop_rows[u].get_or_init(|| self.bfs_row(u))
+        }
+    }
+
     /// Per-graph row-cache counters `(rows_computed, row_hits)`.
     pub fn row_stats(&self) -> (u64, u64) {
         (
@@ -319,9 +341,9 @@ impl CouplingGraph {
         let mut bytes = self.first_out.capacity() * size_of::<u32>()
             + self.head.capacity() * size_of::<u32>()
             + self.weight.capacity() * size_of::<u32>()
-            + self.rows.capacity() * size_of::<OnceLock<Box<[u32]>>>()
+            + (self.rows.capacity() + self.hop_rows.capacity()) * size_of::<OnceLock<Box<[u32]>>>()
             + self.adj_rows.capacity() * size_of::<OnceLock<QubitMask>>();
-        for r in &self.rows {
+        for r in self.rows.iter().chain(&self.hop_rows) {
             if r.get().is_some() {
                 bytes += self.n * size_of::<u32>();
             }
@@ -1152,6 +1174,24 @@ mod tests {
         assert_eq!(g.edge_weight(1, 0), Some(10));
         assert_eq!(g.edge_weight(0, 2), Some(1));
         assert_eq!(g.edge_weight(1, 1), None);
+    }
+
+    #[test]
+    fn hop_rows_count_couplings_on_every_graph() {
+        let hot = CouplingGraph::from_weighted_edges(
+            3,
+            [(0, 1, 10), (0, 2, 1), (1, 2, 1)],
+            "triangle-hot",
+        );
+        assert_eq!(hot.dist(0, 1), 2);
+        assert_eq!(hot.hop_row(0), &[0, 1, 1]);
+        let unit = CouplingGraph::line(4);
+        assert_eq!(unit.hop_row(1), unit.dist_row(1));
+        let g = CouplingGraph::heavy_hex_65();
+        let cal = g.with_calibration(&crate::CalibrationMap::synthetic(&g, 7));
+        for u in [0, 31, 64] {
+            assert_eq!(cal.hop_row(u), g.dist_row(u), "same wiring, same hops");
+        }
     }
 
     #[test]

@@ -179,6 +179,19 @@ impl Layout {
             .collect()
     }
 
+    /// A stable digest of the `logical → physical` map: each logical
+    /// qubit's physical index in order (`usize::MAX` for an unplaced one),
+    /// hashed with the release-stable [`Fingerprint64`].
+    ///
+    /// [`Fingerprint64`]: tetris_pauli::fingerprint::Fingerprint64
+    pub fn digest(&self) -> u64 {
+        let mut h = tetris_pauli::fingerprint::Fingerprint64::new();
+        for p in &self.log2phys {
+            h.write_usize(p.unwrap_or(usize::MAX));
+        }
+        h.finish()
+    }
+
     /// Lifts a layout expressed in a region's *local* physical index space
     /// onto the region's device: logical `q` at local physical `p` moves to
     /// global physical [`to_global(p)`](crate::Region::to_global), and the

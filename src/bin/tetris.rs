@@ -156,7 +156,13 @@ fn backend(args: &Args) -> Option<CouplingGraph> {
 
 fn config(args: &Args) -> Option<TetrisConfig> {
     let mut cfg = TetrisConfig::default();
-    if let Some(w) = reported(args.parsed("--swap-weight"))? {
+    if let Some(w) = reported(args.parsed::<f64>("--swap-weight"))? {
+        // `w` is a SWAP's CNOT cost (§V-A); the leaf attachment's pruning
+        // rests on it being a number ≥ 0.
+        if !(w.is_finite() && w >= 0.0) {
+            eprintln!("tetris: `--swap-weight` must be a finite number ≥ 0, got `{w}`");
+            return None;
+        }
         cfg = cfg.with_swap_weight(w);
     }
     if let Some(k) = reported(args.parsed("--lookahead"))? {
@@ -516,6 +522,14 @@ mod tests {
         );
         assert!(cmd_qaoa(&args("qaoa --nodes x")).is_none());
         assert!(cmd_compile(&args("compile --lookahead x")).is_none());
+        for w in ["-1", "-0.5", "NaN", "inf", "-inf"] {
+            let line = format!("compile --swap-weight {w}");
+            assert!(cmd_compile(&args(&line)).is_none(), "{line}");
+        }
+        assert_eq!(
+            config(&args("compile --swap-weight 0")).map(|c| c.swap_weight),
+            Some(0.0)
+        );
         assert!(cmd_bench_suite(&args("bench-suite --quick --connections x")).is_none());
     }
 

@@ -3,9 +3,10 @@
 //! The bitplane-native refactor (masks through clustering, scheduling,
 //! synthesis and SABRE) is a pure representation change: every routed or
 //! compiled circuit must stay bit-identical to the pre-refactor output.
-//! The constants below are [`Fingerprint64`] digests of the exact gate
-//! streams (and final layouts) produced by the `Vec<usize>`/`Vec<bool>`
-//! implementation, captured immediately before the refactor. Any change —
+//! The constants below are `Circuit::content_digest` and `Layout::digest`
+//! values of the exact gate streams (and final layouts) produced by the
+//! `Vec<usize>`/`Vec<bool>` implementation, captured immediately before the
+//! refactor. Any change —
 //! a different SWAP choice, a reordered emission, a perturbed f64 score
 //! sum — moves a digest.
 //!
@@ -24,68 +25,7 @@ use tetris::pauli::rng::{Rng, SeedableRng};
 use tetris::pauli::uccsd::synthetic_ucc;
 use tetris::pauli::{encoder::Encoding, Hamiltonian, PauliBlock, PauliTerm};
 use tetris::router::{route, RouterConfig};
-use tetris::topology::{CouplingGraph, Layout};
-
-/// A stable digest of a gate stream: gate kind tag, operands, and the IEEE
-/// bit pattern of any angle. `Fingerprint64` is the workspace's
-/// release-stable FNV-1a hasher, so these goldens survive toolchain bumps.
-fn circuit_digest(c: &Circuit) -> u64 {
-    let mut h = Fingerprint64::new();
-    h.write_usize(c.n_qubits());
-    h.write_usize(c.len());
-    for g in c.gates() {
-        match *g {
-            Gate::H(q) => {
-                h.write_u8(b'H');
-                h.write_usize(q);
-            }
-            Gate::S(q) => {
-                h.write_u8(b'S');
-                h.write_usize(q);
-            }
-            Gate::Sdg(q) => {
-                h.write_u8(b'D');
-                h.write_usize(q);
-            }
-            Gate::X(q) => {
-                h.write_u8(b'X');
-                h.write_usize(q);
-            }
-            Gate::Rz(q, theta) => {
-                h.write_u8(b'R');
-                h.write_usize(q);
-                h.write_f64(theta);
-            }
-            Gate::Cnot(a, b) => {
-                h.write_u8(b'C');
-                h.write_usize(a);
-                h.write_usize(b);
-            }
-            Gate::Swap(a, b) => {
-                h.write_u8(b'W');
-                h.write_usize(a);
-                h.write_usize(b);
-            }
-            Gate::Measure(q) => {
-                h.write_u8(b'M');
-                h.write_usize(q);
-            }
-            Gate::Reset(q) => {
-                h.write_u8(b'Z');
-                h.write_usize(q);
-            }
-        }
-    }
-    h.finish()
-}
-
-fn layout_digest(l: &Layout) -> u64 {
-    let mut h = Fingerprint64::new();
-    for p in l.as_assignment() {
-        h.write_usize(p);
-    }
-    h.finish()
-}
+use tetris::topology::{CalibrationMap, CouplingGraph, Layout};
 
 /// Seeded random logical circuit, mirroring the router's own test
 /// generator (H/Rz/S/CNOT mix).
@@ -121,8 +61,8 @@ fn routed_point(n_log: usize, len: usize, seed: u64, graph: &CouplingGraph) -> (
     );
     assert!(r.circuit.is_hardware_compliant(graph));
     (
-        circuit_digest(&r.circuit),
-        layout_digest(&r.final_layout),
+        r.circuit.content_digest(),
+        r.final_layout.digest(),
         r.swap_count,
     )
 }
@@ -136,15 +76,24 @@ fn router_cases() -> Vec<(usize, usize, u64, CouplingGraph)> {
         (40, 240, 13, CouplingGraph::heavy_hex_65()), // 65 phys
         (48, 240, 14, CouplingGraph::line(130)),
         (10, 400, 3, CouplingGraph::heavy_hex_65()),
+        // Calibrated device: SABRE scores weighted distances.
+        (24, 200, 15, calibrated_heavy_hex()),
     ]
 }
 
-const ROUTER_GOLDENS: [(u64, u64, usize); 5] = [
+/// `heavy-hex` reweighted by the seeded synthetic calibration map.
+fn calibrated_heavy_hex() -> CouplingGraph {
+    let g = CouplingGraph::heavy_hex_65();
+    g.with_calibration(&CalibrationMap::synthetic(&g, 7))
+}
+
+const ROUTER_GOLDENS: [(u64, u64, usize); 6] = [
     (0x6597b56202cbc566, 0xec9cf2fac49e2c85, 367),
     (0xe2c9515ca63cad7c, 0xad450d31c55f7985, 165),
     (0xb60a914fcee10f05, 0xd198e53c2b06c574, 284),
     (0xc9ec480f7dd968d6, 0xec77d73c949fc345, 884),
     (0xdcedce5ef90e1420, 0xf064b9168a6a1f04, 259),
+    (0x55c6d4b10dff8da6, 0x3b934dc3e34754e5, 266),
 ];
 
 #[test]
@@ -189,8 +138,8 @@ fn compiled_point(h: &Hamiltonian, graph: &CouplingGraph, config: TetrisConfig) 
         bo.write_usize(b);
     }
     (
-        circuit_digest(&r.circuit),
-        layout_digest(&r.final_layout),
+        r.circuit.content_digest(),
+        r.final_layout.digest(),
         bo.finish(),
     )
 }
@@ -310,7 +259,7 @@ fn optimizer_point(circuits: &[Circuit]) -> (u64, u64) {
         ] {
             let mut out = c.clone();
             let r = pass(&mut out);
-            h.write_u64(circuit_digest(&out));
+            h.write_u64(out.content_digest());
             for k in [r.removed_cnots, r.removed_swaps, r.removed_1q, r.merged_rz] {
                 h.write_usize(k);
             }
